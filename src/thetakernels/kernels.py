@@ -33,6 +33,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DimensionUnsupported,
+    DomainError,
     EmptySequence,
     IndexOutOfRange,
     InvalidRegime,
@@ -129,12 +130,18 @@ KernelSpec = Union[PureKernel, MixedKernel, CMixedKernel]
 # ---------------------------------------------------------------------------
 
 def correlation(x: Sequence[float], z: Sequence[float]) -> float:
-    """Inner product of unit-normalized vectors, clamped to [-1, 1]."""
+    """Inner product of unit-normalized vectors, clamped to [-1, 1].
+
+    Raises DomainError on a NaN or infinite entry, which the clamp would
+    otherwise turn into -1.
+    """
     xv = np.asarray(x, dtype=float)
     zv = np.asarray(z, dtype=float)
     if xv.shape != zv.shape or xv.ndim != 1:
         raise DimensionMismatch(
             f"correlation needs two vectors of equal length, got {xv.shape} and {zv.shape}")
+    if not (np.isfinite(xv).all() and np.isfinite(zv).all()):
+        raise DomainError(f"correlation needs finite vectors, got {xv} and {zv}")
     nx = float(np.linalg.norm(xv))
     nz = float(np.linalg.norm(zv))
     if nx == 0.0 or nz == 0.0:

@@ -10,18 +10,26 @@ covariance E[output(x)_i output(z)_i] converges to the compositional kernel
 built from the per-layer activations' PGF coefficients; this module produces
 the Monte Carlo side of that comparison.
 
-Weight randomness comes from counter-based Philox substreams keyed by
-(seed, sample index, layer index), so estimates are bitwise reproducible and
-independent of how samples are scheduled across threads.
+Weight randomness comes from counter-based Philox substreams (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011).  ``empirical_kernel``
+splits its samples into fixed chunks of 256 and keys chunk c, layer k by
+(seed, c, k); ``sample_mlp_output`` keys draw j, layer k by (seed, j, k).
+Either way an estimate is bitwise reproducible and independent of how the
+chunks are scheduled across threads.
 
 ``empirical_kernel`` does not materialize weight matrices.  Conditional on
 layer inputs with correlation rho, the two pre-activation vectors under a
 shared Gaussian weight matrix are exactly jointly Gaussian with per-row
-covariance [[1, rho], [rho, 1]], so each layer draws one (width, 2) standard
-normal block and forms the correlated pair directly.  This is equal in law
-to the literal forward pass (which ``sample_mlp_output`` still performs) and
-cuts the per-sample cost from width^2 to width draws, which is what makes
-20000-sample studies at width 1024 a seconds-scale operation.
+covariance [[1, rho], [rho, 1]], so each layer forms the correlated pair
+directly from standard normals.  This is equal in law to the literal forward
+pass (which ``sample_mlp_output`` still performs) and cuts the per-sample
+cost from width^2 to width draws.  A chunk of m samples draws one
+(m, width, 2) normal block per layer and runs the activation, row norms, row
+dot products and the clip of rho on (m, width) arrays, with rho a length-m
+vector.  The block, the two activated arrays and the next layer's block
+and temporaries peak at about 7 * 256 * width doubles per thread (15 MB at
+width 1024 for a rectifier).  A HermiteSeriesActivation adds its
+(k_max + 1) x (256 * width) design matrix on top.
 """
 
 from __future__ import annotations
@@ -115,9 +123,9 @@ class StudyRow:
     gap: float
 
 
-def _layer_generator(seed: int, sample: int, layer: int) -> np.random.Generator:
-    # 128-bit Philox key: seed in the high word, (sample, layer) packed low.
-    key = ((seed & 0xFFFFFFFFFFFFFFFF) << 64) | ((sample & 0xFFFFFFFFFFF) << 20) \
+def _layer_generator(seed: int, stream: int, layer: int) -> np.random.Generator:
+    # 128-bit Philox key: seed in the high word, (stream, layer) packed low.
+    key = ((seed & 0xFFFFFFFFFFFFFFFF) << 64) | ((stream & 0xFFFFFFFFFFF) << 20) \
         | (layer & 0xFFFFF)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -162,38 +170,43 @@ def sample_mlp_output(config: MlpConfig, input: Sequence[float],
     return x
 
 
-def _pair_samples(config: MlpConfig, rho0: float, lo: int, hi: int,
+def _pair_samples(config: MlpConfig, rho0: float, chunk: int,
                   out: np.ndarray) -> None:
-    """Fill out[lo:hi] with per-sample coordinate-averaged output products."""
+    """Fill chunk ``chunk`` of ``out`` with per-sample coordinate-averaged
+    output products."""
     n = config.num_layers
     widths = config.widths
-    for sample in range(lo, hi):
-        rho = rho0
-        for layer in range(n + 1):
-            gen = _layer_generator(config.seed, sample, layer)
-            block = gen.standard_normal((widths[layer + 1], 2))
-            u = block[:, 0]
-            v = rho * u + math.sqrt(max(0.0, 1.0 - rho * rho)) * block[:, 1]
-            if layer == n:
-                out[sample] = float(np.mean(u * v))
-                break
-            act = config.activation_at(layer)
-            a, b = act(u), act(v)
-            na = float(np.linalg.norm(a))
-            nb = float(np.linalg.norm(b))
-            if na == 0.0 or nb == 0.0:
-                raise ZeroNormLayer(
-                    f"layer {layer + 1} output has zero norm at sample {sample}")
-            rho = min(1.0, max(-1.0, float(np.dot(a, b)) / (na * nb)))
+    lo = chunk * _CHUNK
+    hi = min(lo + _CHUNK, len(out))
+    rho = np.full(hi - lo, rho0)
+    for layer in range(n + 1):
+        gen = _layer_generator(config.seed, chunk, layer)
+        block = gen.standard_normal((hi - lo, widths[layer + 1], 2))
+        u = block[:, :, 0]
+        v = block[:, :, 1]
+        v *= np.sqrt(1.0 - rho * rho)[:, None]
+        v += rho[:, None] * u
+        if layer == n:
+            out[lo:hi] = np.einsum("ij,ij->i", u, v) / widths[layer + 1]
+            return
+        act = config.activation_at(layer)
+        a, b = act(u), act(v)
+        na = np.sqrt(np.einsum("ij,ij->i", a, a))
+        nb = np.sqrt(np.einsum("ij,ij->i", b, b))
+        dead = (na == 0.0) | (nb == 0.0)
+        if dead.any():
+            raise ZeroNormLayer(f"layer {layer + 1} output has zero norm at sample "
+                                f"{lo + int(np.argmax(dead))}")
+        rho = np.clip(np.einsum("ij,ij->i", a, b) / (na * nb), -1.0, 1.0)
 
 
 def worker_count() -> int:
-    """Thread cap: THETA_KERNELS_THREADS if set, else 1 (serial).
+    """Thread cap: THETA_KERNELS_THREADS if set, else the usable CPU count.
 
-    Threads are opt-in.  The sampler is a Python loop of small numpy calls
-    that holds the GIL, so extra threads mostly contend: on 2 vCPUs, two
-    threads halved its throughput.  Estimates are bitwise identical for any
-    thread count.
+    Each 256-sample chunk of the sampler spends its time in Philox fills and
+    ufuncs over (256, width) arrays, which release the GIL, so chunks on
+    separate threads run in parallel.  Estimates are bitwise identical for
+    any thread count.
     """
     raw = os.environ.get("THETA_KERNELS_THREADS", "").strip()
     if raw:
@@ -201,7 +214,9 @@ def worker_count() -> int:
             return max(1, int(raw))
         except ValueError:
             raise DomainError(f"THETA_KERNELS_THREADS must be an integer, got {raw!r}")
-    return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def empirical_kernel(config: MlpConfig, x: Sequence[float], z: Sequence[float],
@@ -209,10 +224,12 @@ def empirical_kernel(config: MlpConfig, x: Sequence[float], z: Sequence[float],
     """Monte Carlo estimate of E[output(x) . output(z) / h_{n+1}].
 
     Averages over weight draws and output coordinates; the standard error
-    comes from the per-draw coordinate-averaged products.  Sample j, layer k
-    always consumes substream (seed, j, k), and samples are written into a
-    fixed slot ordering, so the result is bitwise identical for any thread
-    count.
+    comes from the per-draw coordinate-averaged products.  Samples
+    256c .. 256c + 255 form chunk c, whose layer k always consumes substream
+    (seed, c, k), and samples are written into a fixed slot ordering, so the
+    result is bitwise identical for any thread count.  A dead layer (all
+    activations zero) raises ZeroNormLayer naming the first dead sample of
+    the lowest chunk that has one.
     """
     if not (isinstance(num_samples, int) and num_samples >= 100):
         raise DomainError(f"num_samples must be an integer >= 100, got {num_samples!r}")
@@ -223,16 +240,15 @@ def empirical_kernel(config: MlpConfig, x: Sequence[float], z: Sequence[float],
             f"inputs must have shape ({config.widths[0]},), got {xv.shape}, {zv.shape}")
     rho0 = correlation(xv, zv)
     out = np.empty(num_samples)
-    chunks = [(lo, min(lo + _CHUNK, num_samples))
-              for lo in range(0, num_samples, _CHUNK)]
+    chunks = range((num_samples + _CHUNK - 1) // _CHUNK)
     workers = min(worker_count(), len(chunks))
     if workers <= 1:
-        for lo, hi in chunks:
-            _pair_samples(config, rho0, lo, hi, out)
+        for chunk in chunks:
+            _pair_samples(config, rho0, chunk, out)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_pair_samples, config, rho0, lo, hi, out)
-                       for lo, hi in chunks]
+            futures = [pool.submit(_pair_samples, config, rho0, chunk, out)
+                       for chunk in chunks]
             for future in futures:
                 future.result()
     value = float(np.mean(out))

@@ -161,6 +161,11 @@ class TestKernelCommands:
         assert code == 0
         assert float(capsys.readouterr().out) == pytest.approx(0.5, abs=1e-15)
 
+    def test_non_finite_vector_rejected(self, capsys):
+        assert app(["kernel-eval", "--kind", "pure", "--theta", "1", "--a", "1",
+                    "--c", "1", "--depth", "1", "--x", "1,nan", "--z", "1,0"]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_rho_and_vectors_conflict(self, capsys):
         assert app(["kernel-eval", "--kind", "pure", "--theta", "1", "--a", "1",
                     "--c", "1", "--depth", "1", "--rho", "0", "--x", "1,0",

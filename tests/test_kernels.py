@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from thetakernels.errors import (
     DimensionMismatch,
     DimensionUnsupported,
+    DomainError,
     EmptySequence,
     IndexOutOfRange,
     InvalidRegime,
@@ -73,6 +74,14 @@ class TestCorrelation:
             correlation([1.0, 0.0], [1.0, 0.0, 0.0])
         with pytest.raises(DimensionMismatch):
             correlation([[1.0, 0.0]], [[1.0, 0.0]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry(self, bad):
+        # max(-1, nan) is -1, so an unchecked NaN read as antipodal
+        with pytest.raises(DomainError):
+            correlation([1.0, bad], [1.0, 0.0])
+        with pytest.raises(DomainError):
+            correlation([1.0, 0.0], [bad, 0.0])
 
 
 class TestSpecValidation:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -106,9 +107,10 @@ class TestWorkerCount:
             worker_count()
 
     def test_default_positive(self, monkeypatch):
-        # Threads are opt-in: the GIL-bound sampler runs serially by default.
+        # Unset means one thread per usable CPU: the chunked sampler spends
+        # its time in numpy calls that release the GIL.
         monkeypatch.delenv("THETA_KERNELS_THREADS", raising=False)
-        assert worker_count() == 1
+        assert worker_count() == len(os.sched_getaffinity(0))
 
 
 class TestEmpiricalKernel:
@@ -122,6 +124,11 @@ class TestEmpiricalKernel:
         with pytest.raises(DimensionMismatch):
             empirical_kernel(config, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 100)
 
+    def test_non_finite_input(self):
+        config = MlpConfig(widths=(2, 8, 1), activations=RELU, seed=0)
+        with pytest.raises(DomainError):
+            empirical_kernel(config, [1.0, math.nan], [1.0, 0.0], 100)
+
     def test_estimate_fields(self):
         config = MlpConfig(widths=(2, 16, 1), activations=RELU, seed=5)
         est = empirical_kernel(config, [1.0, 0.0], [0.0, 1.0], 150)
@@ -131,14 +138,52 @@ class TestEmpiricalKernel:
         assert est.standard_error > 0.0
 
     def test_thread_count_does_not_change_bits(self, monkeypatch):
-        config = MlpConfig(widths=(2, 32, 32, 1), activations=RELU, seed=21)
         x, z = [1.0, 0.0], [0.5, math.sqrt(0.75)]
-        monkeypatch.setenv("THETA_KERNELS_THREADS", "1")
-        serial = empirical_kernel(config, x, z, 600)
-        monkeypatch.setenv("THETA_KERNELS_THREADS", "4")
-        threaded = empirical_kernel(config, x, z, 600)
-        assert serial.value == threaded.value
-        assert serial.standard_error == threaded.standard_error
+        # 100 samples fill part of one chunk; 600 end in a partial chunk
+        for acts in (RELU, (LINEAR, RELU)):
+            config = MlpConfig(widths=(2, 32, 32, 1), activations=acts, seed=21)
+            for num_samples in (100, 600):
+                monkeypatch.delenv("THETA_KERNELS_THREADS", raising=False)
+                default = empirical_kernel(config, x, z, num_samples)
+                for threads in ("1", "2", "4"):
+                    monkeypatch.setenv("THETA_KERNELS_THREADS", threads)
+                    est = empirical_kernel(config, x, z, num_samples)
+                    assert est.value == default.value
+                    assert est.standard_error == default.standard_error
+
+    def test_dead_layer_message_does_not_depend_on_threads(self, monkeypatch):
+        # a width-1 rectifier layer is dead for about half of all samples
+        config = MlpConfig(widths=(2, 1, 1), activations=RELU, seed=4)
+        messages = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("THETA_KERNELS_THREADS", threads)
+            with pytest.raises(ZeroNormLayer) as info:
+                empirical_kernel(config, [1.0, 0.0], [0.0, 1.0], 600)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("layer 1 output has zero norm at sample ")
+
+    def test_pair_sampler_matches_forward_pass_in_law(self):
+        # E[out(x) . out(z) / h_{n+1}] from literal forward passes, each draw
+        # j sharing its weights between x and z, against the pair sampler on
+        # an independent seed.  A width-32 rectifier layer dies with
+        # probability 2**-32, so neither side raises in practice.
+        x, z = [1.0, 0.0], [0.3, math.sqrt(0.91)]
+        draws = 4000
+        for acts in (RELU, (LINEAR, RELU)):
+            literal = MlpConfig(widths=(2, 32, 32, 3), activations=acts, seed=808)
+            products = np.array([
+                float(np.dot(sample_mlp_output(literal, x, seed_offset=j),
+                             sample_mlp_output(literal, z, seed_offset=j))) / 3.0
+                for j in range(draws)])
+            forward = float(np.mean(products))
+            forward_se = float(np.std(products, ddof=1)) / math.sqrt(draws)
+            paired = empirical_kernel(
+                MlpConfig(widths=(2, 32, 32, 3), activations=acts, seed=909),
+                x, z, draws)
+            gap = abs(forward - paired.value)
+            assert gap <= 4.0 * math.hypot(forward_se, paired.standard_error), (
+                f"{acts}: gap {gap} vs SEs {forward_se}, {paired.standard_error}")
 
     def test_input_scale_invariance(self):
         config = MlpConfig(widths=(2, 32, 1), activations=RELU, seed=3)
