@@ -28,9 +28,7 @@ from .pgf import (
     ThetaPgf,
     b_table,
     make_theta_pgf,
-    pgf_compose,
     pgf_compose_sequence,
-    pgf_eval,
     pgf_iterate_closed,
     series_coefficients,
     theta_coefficients,
@@ -51,7 +49,6 @@ from .kernels import (
     KernelSpec,
     MixedKernel,
     PureKernel,
-    cmixed_kernel_eval,
     cmixed_pure_representation,
     correlation,
     cross_gram,
@@ -59,9 +56,7 @@ from .kernels import (
     gram,
     kernel_at_rho,
     kernel_limit,
-    mixed_kernel_eval,
     multiplicity,
-    pure_kernel_eval,
     spec_to_pgf,
     surface_area,
 )

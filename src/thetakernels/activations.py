@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import (
     DomainError,
@@ -39,31 +38,22 @@ from .hermite import (
     half_gaussian_hermite_moments,
     half_gaussian_rule,
     hermite_design,
-    hermite_value,
 )
 
 __all__ = [
     "Activation",
     "HermiteSeriesActivation",
     "ReferenceActivation",
-    "hermite_eval",
     "activation_from_coefficients",
     "reference_activation",
-    "activation_eval",
     "activation_to_pgf",
     "bivariate_expectation",
-    "activation_curve",
 ]
 
 DEFAULT_QUAD_NODES = 200
 DEFAULT_K_MAX = 64
 
 _REFERENCE_SLOPES = {"relu": 0.0, "linear": 1.0}
-
-
-def hermite_eval(k: int, x):
-    """Orthonormal probabilists' Hermite polynomial h_k at x."""
-    return hermite_value(k, x)
 
 
 @dataclass(frozen=True)
@@ -166,17 +156,6 @@ def reference_activation(name: str, slope: float | None = None) -> ReferenceActi
     return ReferenceActivation(name=label, slope=float(slope), scale=scale)
 
 
-def activation_eval(act: Activation, x):
-    """phi(x) for scalar or array x."""
-    return act(x)
-
-
-def activation_curve(act: Activation, xs: np.ndarray) -> np.ndarray:
-    """Column-stacked (x, phi(x)) table for export."""
-    xs = np.asarray(xs, dtype=float)
-    return np.column_stack([xs, act(xs)])
-
-
 def _second_moment(act: Activation, quad_nodes: int) -> float:
     if isinstance(act, ReferenceActivation):
         return 1.0
@@ -241,7 +220,8 @@ def _reference_bivariate(act: ReferenceActivation, s: float) -> float:
         t, w = half_gaussian_rule()
         # E[Z+ | X = x] = s x Phi(s x / beta) + beta phi_N(s x / beta)
         u = s * t / beta
-        cond = s * t * ndtr(u) + beta * np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+        cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in u])
+        cond = s * t * cdf + beta * np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
         j = float(np.sum(w * t * cond))
     return act.scale ** 2 * (act.slope * s + (1.0 - act.slope) ** 2 * j)
 

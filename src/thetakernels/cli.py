@@ -56,6 +56,7 @@ from .pgf import (
     make_theta_pgf,
     pgf_iterate_closed,
     theta_coefficients,
+    theta_pgf_to_series,
 )
 
 __all__ = ["app", "build_parser"]
@@ -71,18 +72,63 @@ _FIG1_REFERENCES = {
     "relu-proxy": ("relu", None),
 }
 
+_NUMBER = (lambda v: isinstance(v, (int, float)), "a number")
+_INTEGER = (lambda v: isinstance(v, int), "an integer")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_PGF_KEYS = ("theta", "a", "c", "q", "r")
+
+#: (section, key) -> (check, what the value must be).  Config files and the
+#: PGF records of --factors and model files are validated against it.
 _CONFIG_SCHEMA = {
-    "pgf": {"theta", "a", "c", "q", "r"},
-    "kernel": {"kind", "depth", "c_sequence"},
-    "activation": {"source", "name", "k_max"},
-    "mlp": {"widths", "samples", "seed"},
-    "gp": {"noise"},
-    "output": {"path", "format"},
+    **{("pgf", key): _NUMBER for key in _PGF_KEYS},
+    ("kernel", "kind"): (lambda v: v in ("pure", "mixed", "cmixed"),
+                         "pure, mixed, or cmixed"),
+    ("kernel", "depth"): _INTEGER,
+    ("kernel", "c_sequence"): (lambda v: isinstance(v, list)
+                               and all(_NUMBER[0](x) for x in v), "a list of numbers"),
+    ("activation", "source"): (lambda v: v in ("theta", "reference"), "theta or reference"),
+    ("activation", "name"): _STRING,
+    ("activation", "k_max"): _INTEGER,
+    ("mlp", "widths"): (lambda v: isinstance(v, list)
+                        and all(_INTEGER[0](x) for x in v), "a list of integers"),
+    ("mlp", "samples"): _INTEGER,
+    ("mlp", "seed"): _INTEGER,
+    ("gp", "noise"): _NUMBER,
+    ("output", "path"): _STRING,
+    ("output", "format"): (lambda v: v in ("csv", "json"), "csv or json"),
 }
 
 
 def _fmt(value) -> str:
     return repr(float(value))
+
+
+def _read_json(path: str, what: str):
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}")
+
+
+def _check_keys(record, allowed, required, where: str) -> dict:
+    """Reject a record that is not an object or has unknown or missing keys."""
+    if not isinstance(record, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {record!r}")
+    for key in record:
+        if key not in allowed:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+    for key in required:
+        if record.get(key) is None:
+            raise ConfigError(f"{where} lacks {key!r}")
+    return record
+
+
+def _check_values(section: str, body: dict) -> None:
+    for key, value in body.items():
+        check, what = _CONFIG_SCHEMA[(section, key)]
+        if not check(value):
+            raise ConfigError(f"{section}.{key} must be {what}")
 
 
 class _Config:
@@ -92,71 +138,16 @@ class _Config:
         self.data: dict = {}
         if path is None:
             return
-        try:
-            with open(path) as handle:
-                raw = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}")
+        raw = _read_json(path, "config")
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         for section, body in raw.items():
-            if section not in _CONFIG_SCHEMA:
+            allowed = {key for sec, key in _CONFIG_SCHEMA if sec == section}
+            if not allowed:
                 raise ConfigError(f"unknown config section {section!r}")
-            if not isinstance(body, dict):
-                raise ConfigError(f"config section {section!r} must be an object")
-            for key in body:
-                if key not in _CONFIG_SCHEMA[section]:
-                    raise ConfigError(f"unknown key {key!r} in config section {section!r}")
-        self._validate_types(raw)
+            _check_values(section, _check_keys(body, allowed, (),
+                                               f"config section {section!r}"))
         self.data = raw
-
-    @staticmethod
-    def _validate_types(raw: dict) -> None:
-        def need(cond: bool, message: str) -> None:
-            if not cond:
-                raise ConfigError(message)
-
-        num = (int, float)
-        pgf = raw.get("pgf", {})
-        for key in ("theta", "a", "q", "r"):
-            if key in pgf:
-                need(isinstance(pgf[key], num), f"pgf.{key} must be a number")
-        if "c" in pgf:
-            need(isinstance(pgf["c"], num), "pgf.c must be a number")
-        kernel = raw.get("kernel", {})
-        if "kind" in kernel:
-            need(kernel["kind"] in ("pure", "mixed", "cmixed"),
-                 "kernel.kind must be pure, mixed, or cmixed")
-        if "depth" in kernel:
-            need(isinstance(kernel["depth"], int), "kernel.depth must be an integer")
-        if "c_sequence" in kernel:
-            need(isinstance(kernel["c_sequence"], list)
-                 and all(isinstance(v, num) for v in kernel["c_sequence"]),
-                 "kernel.c_sequence must be a list of numbers")
-        act = raw.get("activation", {})
-        if "source" in act:
-            need(act["source"] in ("theta", "reference"),
-                 "activation.source must be theta or reference")
-        if "name" in act:
-            need(isinstance(act["name"], str), "activation.name must be a string")
-        if "k_max" in act:
-            need(isinstance(act["k_max"], int), "activation.k_max must be an integer")
-        mlp = raw.get("mlp", {})
-        if "widths" in mlp:
-            need(isinstance(mlp["widths"], list)
-                 and all(isinstance(v, int) for v in mlp["widths"]),
-                 "mlp.widths must be a list of integers")
-        for key in ("samples", "seed"):
-            if key in mlp:
-                need(isinstance(mlp[key], int), f"mlp.{key} must be an integer")
-        gp = raw.get("gp", {})
-        if "noise" in gp:
-            need(isinstance(gp["noise"], num), "gp.noise must be a number")
-        out = raw.get("output", {})
-        if "path" in out:
-            need(isinstance(out["path"], str), "output.path must be a string")
-        if "format" in out:
-            need(out["format"] in ("csv", "json"), "output.format must be csv or json")
 
     def get(self, section: str, key: str, default=None):
         return self.data.get(section, {}).get(key, default)
@@ -188,14 +179,6 @@ def _add_pgf_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--r", type=float, default=None)
 
 
-def _scalar_c(raw: str | float | None) -> float | None:
-    if raw is None:
-        return None
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    return float(raw)
-
-
 def _c_list(raw, what: str) -> tuple[float, ...]:
     if raw is None:
         raise ConfigError(f"missing required parameter: {what}")
@@ -207,31 +190,32 @@ def _c_list(raw, what: str) -> tuple[float, ...]:
         raise ConfigError(f"cannot parse {what} from {raw!r}")
 
 
+def _pgf_from_json(record, where: str) -> ThetaPgf:
+    """One PGF record {theta, a, c?, q?, r?}; a null value means absent."""
+    _check_keys(record, _PGF_KEYS, ("theta", "a"), where)
+    given = {key: value for key, value in record.items() if value is not None}
+    _check_values("pgf", given)
+    return make_theta_pgf(**given)
+
+
 def _build_theta_pgf(args, cfg: _Config) -> ThetaPgf:
-    theta = _require(_pick(args.theta, cfg, "pgf", "theta"), "--theta")
-    a = _require(_pick(args.a, cfg, "pgf", "a"), "--a")
-    c = _scalar_c(_pick(args.c, cfg, "pgf", "c"))
-    q = _pick(args.q, cfg, "pgf", "q")
-    r = _pick(args.r, cfg, "pgf", "r", 1.0)
-    return make_theta_pgf(theta=theta, a=a, c=c, q=q, r=r)
+    record = {key: _pick(getattr(args, key), cfg, "pgf", key) for key in _PGF_KEYS}
+    if isinstance(record["c"], str):
+        record["c"] = float(record["c"])
+    return _pgf_from_json(record, "the PGF given by flags and config")
+
+
+def _pgf_to_json(f: ThetaPgf) -> dict:
+    p = f.params
+    return {"theta": p.theta, "a": p.a, "c": p.c, "q": p.q, "r": p.r}
 
 
 def _load_factor_list(path: str) -> tuple[ThetaPgf, ...]:
-    try:
-        with open(path) as handle:
-            raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read factors file {path}: {exc}")
+    raw = _read_json(path, "factors file")
     if not isinstance(raw, list) or not raw:
         raise ConfigError("factors file must hold a non-empty JSON list of PGF objects")
-    factors = []
-    for entry in raw:
-        if not isinstance(entry, dict) or not set(entry) <= _CONFIG_SCHEMA["pgf"]:
-            raise ConfigError(f"bad PGF object in factors file: {entry!r}")
-        factors.append(make_theta_pgf(
-            theta=entry.get("theta"), a=entry.get("a"),
-            c=entry.get("c"), q=entry.get("q"), r=entry.get("r", 1.0)))
-    return tuple(factors)
+    return tuple(_pgf_from_json(entry, f"factors file entry {i}")
+                 for i, entry in enumerate(raw))
 
 
 def _build_kernel(args, cfg: _Config) -> KernelSpec:
@@ -265,9 +249,8 @@ def _build_activation(args, cfg: _Config) -> Activation:
         return reference_activation(name, getattr(args, "slope", None))
     if source == "theta":
         k_max = int(_pick(args.k_max, cfg, "activation", "k_max", 64))
-        f = _build_theta_pgf(args, cfg)
-        p = theta_coefficients(f, k_max)
-        return activation_from_coefficients(p, eps_tail=max(0.0, f.mass() - float(p.sum())))
+        series = theta_pgf_to_series(_build_theta_pgf(args, cfg), k_max)
+        return activation_from_coefficients(series.coefficients, eps_tail=series.eps_tail)
     raise ConfigError(f"unknown activation source {source!r}")
 
 
@@ -328,9 +311,7 @@ def _cmd_pgf_eval(args, cfg: _Config) -> None:
 
 def _cmd_pgf_iterate(args, cfg: _Config) -> None:
     f = pgf_iterate_closed(_build_theta_pgf(args, cfg), args.n)
-    p = f.params
-    record = {"theta": p.theta, "a": p.a, "c": p.c, "q": p.q, "r": p.r,
-              "regime": p.regime.value}
+    record = {**_pgf_to_json(f), "regime": f.params.regime.value}
     if args.s is not None:
         record["value"] = f.eval(args.s)
     print(json.dumps(record))
@@ -340,8 +321,7 @@ def _cmd_pgf_coeffs(args, cfg: _Config) -> None:
     f = _build_theta_pgf(args, cfg)
     k_max = int(_pick(args.k_max, cfg, "activation", "k_max", 64))
     p = theta_coefficients(f, k_max)
-    _write_table(_out_path(args, cfg), ["k", "p"],
-                 [(k, v) for k, v in enumerate(p)])
+    _write_table(_out_path(args, cfg), ["k", "p"], list(enumerate(p)))
 
 
 def _grid(args) -> np.ndarray:
@@ -363,8 +343,7 @@ def _cmd_activation_to_pgf(args, cfg: _Config) -> None:
     act = _build_activation(args, cfg)
     k_max = int(_pick(args.k_max, cfg, "activation", "k_max", 64))
     p = activation_to_pgf(act, k_max, args.quad_nodes)
-    _write_table(_out_path(args, cfg), ["k", "p"],
-                 [(k, v) for k, v in enumerate(p)])
+    _write_table(_out_path(args, cfg), ["k", "p"], list(enumerate(p)))
 
 
 def _rho_from_args(args) -> float:
@@ -442,39 +421,41 @@ def _cmd_mlp_study(args, cfg: _Config) -> None:
                   for row in rows])
 
 
+#: Keys of a kernel record in a model file, by kind; all are required.
+_KERNEL_KEYS = {
+    "pure": ("kind", "depth", "pgf"),
+    "cmixed": ("kind", "theta", "c_sequence"),
+    "mixed": ("kind", "factors"),
+}
+_MODEL_KEYS = ("kernel", "inputs", "targets", "noise")
+
+
 def _kernel_to_json(spec: KernelSpec) -> dict:
     if isinstance(spec, PureKernel) and isinstance(spec.f, ThetaPgf):
-        p = spec.f.params
-        return {"kind": "pure", "depth": spec.depth,
-                "pgf": {"theta": p.theta, "a": p.a, "c": p.c, "q": p.q, "r": p.r}}
+        return {"kind": "pure", "depth": spec.depth, "pgf": _pgf_to_json(spec.f)}
     if isinstance(spec, CMixedKernel):
         return {"kind": "cmixed", "theta": spec.theta,
                 "c_sequence": list(spec.c_sequence)}
     if isinstance(spec, MixedKernel) and all(isinstance(f, ThetaPgf)
                                              for f in spec.factors):
-        return {"kind": "mixed",
-                "factors": [{"theta": f.params.theta, "a": f.params.a,
-                             "c": f.params.c, "q": f.params.q, "r": f.params.r}
-                            for f in spec.factors]}
+        return {"kind": "mixed", "factors": [_pgf_to_json(f) for f in spec.factors]}
     raise ConfigError("only theta-form kernel specs can be serialized")
 
 
-def _kernel_from_json(record: dict) -> KernelSpec:
-    kind = record.get("kind")
+def _kernel_from_json(record) -> KernelSpec:
+    kind = record.get("kind") if isinstance(record, dict) else None
+    if kind not in _KERNEL_KEYS:
+        raise ConfigError(f"bad kernel record in model file: kind={kind!r}")
+    _check_keys(record, _KERNEL_KEYS[kind], _KERNEL_KEYS[kind], "model kernel record")
+    _check_values("kernel", {k: record[k] for k in ("depth", "c_sequence") if k in record})
     if kind == "pure":
-        p = record["pgf"]
-        return PureKernel(make_theta_pgf(theta=p["theta"], a=p["a"], c=p.get("c"),
-                                         q=p.get("q"), r=p.get("r", 1.0)),
+        return PureKernel(_pgf_from_json(record["pgf"], "model kernel pgf"),
                           int(record["depth"]))
     if kind == "cmixed":
         return CMixedKernel(float(record["theta"]),
                             tuple(float(v) for v in record["c_sequence"]))
-    if kind == "mixed":
-        return MixedKernel(tuple(
-            make_theta_pgf(theta=p["theta"], a=p["a"], c=p.get("c"),
-                           q=p.get("q"), r=p.get("r", 1.0))
-            for p in record["factors"]))
-    raise ConfigError(f"bad kernel record in model file: kind={kind!r}")
+    return MixedKernel(tuple(_pgf_from_json(p, "model kernel factor")
+                             for p in record["factors"]))
 
 
 def _cmd_gp_fit(args, cfg: _Config) -> None:
@@ -497,14 +478,9 @@ def _cmd_gp_fit(args, cfg: _Config) -> None:
 
 
 def _cmd_gp_predict(args, cfg: _Config) -> None:
-    try:
-        with open(args.model) as handle:
-            record = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read model {args.model}: {exc}")
-    for key in ("kernel", "inputs", "targets", "noise"):
-        if key not in record:
-            raise ConfigError(f"model file lacks {key!r}")
+    record = _check_keys(_read_json(args.model, "model"),
+                         _MODEL_KEYS + ("jitter", "jitter_level"), _MODEL_KEYS,
+                         "model file")
     spec = _kernel_from_json(record["kernel"])
     model = gp_fit(spec, np.asarray(record["inputs"], dtype=float),
                    np.asarray(record["targets"], dtype=float),
@@ -520,11 +496,9 @@ def _cmd_gp_predict(args, cfg: _Config) -> None:
 def _cmd_reproduce_fig1(args, cfg: _Config) -> None:
     params = _FIG1_CASES[args.case]
     name, slope = _FIG1_REFERENCES[args.case]
-    f = make_theta_pgf(**params)
     k_max = int(_pick(args.k_max, cfg, "activation", "k_max", 64))
-    p = theta_coefficients(f, k_max)
-    theta_act = activation_from_coefficients(
-        p, eps_tail=max(0.0, f.mass() - float(p.sum())))
+    series = theta_pgf_to_series(make_theta_pgf(**params), k_max)
+    theta_act = activation_from_coefficients(series.coefficients, eps_tail=series.eps_tail)
     ref_act = reference_activation(name, slope)
     xs = np.linspace(-3.0, 3.0, 601)
     theta_vals = theta_act(xs)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, DomainError, FactorizationFailed
 from .kernels import KernelSpec, _as_points, cross_gram, gram, kernel_at_rho
@@ -53,6 +52,7 @@ def fit(spec: KernelSpec, X: Sequence[Sequence[float]], y: Sequence[float],
     retries up the jitter ladder; FactorizationFailed carries the final
     attempt's diagnostics.
     """
+    from scipy.linalg import solve_triangular   # deferred: import cost
     inputs = _as_points(X)
     targets = np.asarray(y, dtype=float).ravel()
     if targets.shape[0] != inputs.shape[0] or targets.shape[0] == 0:
@@ -87,6 +87,7 @@ def predict(model: GpModel, Xstar: Sequence[Sequence[float]]) -> PredictResult:
     Variances are clamped at zero from below; the clamp count is reported so
     callers can tell rounding from structure.
     """
+    from scipy.linalg import solve_triangular   # deferred: import cost
     stars = np.asarray(Xstar, dtype=float)
     if stars.size == 0:
         return PredictResult(np.empty(0), np.empty(0), 0)

@@ -42,11 +42,10 @@ from .errors import (
     ZeroVector,
 )
 from .pgf import (
-    ComposedPgf,
     Pgf,
     Regime,
-    SeriesPgf,
     ThetaPgf,
+    _iterate_eval,
     make_theta_pgf,
     pgf_compose_sequence,
     pgf_iterate_closed,
@@ -61,9 +60,6 @@ __all__ = [
     "Eigensystem",
     "correlation",
     "kernel_at_rho",
-    "pure_kernel_eval",
-    "mixed_kernel_eval",
-    "cmixed_kernel_eval",
     "kernel_limit",
     "cmixed_pure_representation",
     "gram",
@@ -153,112 +149,37 @@ def correlation(x: Sequence[float], z: Sequence[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms for iterated theta kernels
+# Kernel values
 # ---------------------------------------------------------------------------
-
-def _pure_theta_values(p, n: int, rho: np.ndarray) -> np.ndarray:
-    """Closed form for the n-fold theta kernel on an array of correlations.
-
-    rho = 1 is filled in analytically for the r = 1, theta > 0 regimes whose
-    expressions pass through (1 - rho)**(-theta); all n-fold values there
-    equal 1 because these PGFs have full mass.
-    """
-    theta, a, c, q, r = p.theta, p.a, p.c, p.q, p.r
-    out = np.empty_like(rho)
-    if p.regime is Regime.MINUS_ONE:
-        a_n = a ** n
-        out[:] = a_n * rho + (1.0 - a_n) * q
-        return out
-    if p.regime.is_zero():
-        a_n = a ** n
-        out[:] = r - (r - q) ** (1.0 - a_n) * np.power(r - rho, a_n)
-        return out
-    if p.regime is Regime.MAIN_SUPER:
-        at_one = rho >= 1.0
-        u = 1.0 - rho
-        with np.errstate(divide="ignore", over="ignore"):
-            if a == 1.0:
-                out = 1.0 - np.power(np.power(u, -theta) + n * c, -1.0 / theta)
-            else:
-                # Factor a**n out of (a**n u**-theta + c (a**n - 1)/(a - 1)):
-                # the prefactor a**(-n/theta) underflows gracefully for huge n.
-                decay = math.exp(-n / theta * math.log(a))
-                accum = c * (-math.expm1(-n * math.log(a))) / (a - 1.0)
-                out = 1.0 - decay * np.power(np.power(u, -theta) + accum, -1.0 / theta)
-        out[at_one] = 1.0
-        return out
-    # Subcritical main: a**n may underflow to 0, which lands exactly on the
-    # limit expression; only theta > 0 with r = 1 needs the rho = 1 patch.
-    with np.errstate(over="ignore"):
-        a_n = math.exp(n * math.log(a))
-    fixed = (r - q) ** (-theta)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = r - np.power(a_n * np.power(r - rho, -theta) + (1.0 - a_n) * fixed,
-                           -1.0 / theta)
-    if theta > 0.0 and r == 1.0:
-        out[rho >= 1.0] = 1.0
-    return out
-
 
 def _as_rho_array(rho) -> tuple[np.ndarray, bool]:
     arr = np.asarray(rho, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if np.any(arr < -1.0) or np.any(arr > 1.0):
-        raise InvalidRegime(f"correlation must lie in [-1, 1], got {rho!r}")
+    if not (np.all(arr >= -1.0) and np.all(arr <= 1.0)):
+        error = DomainError if np.isnan(arr).any() else InvalidRegime
+        raise error(f"correlation must lie in [-1, 1], got {rho!r}")
     return arr, scalar
 
 
-def kernel_at_rho(spec: KernelSpec, rho):
-    """Kernel value as a function of the correlation (scalar or array).
+def _kernel_values(spec: KernelSpec, z):
+    """Kernel as a function of the correlation, without the range check.
 
-    Theta-form pure kernels and c-mixed kernels go through their closed
-    forms; everything else composes evaluations innermost-first.
+    Accepts real or complex z, so the eigensystem reads its coefficients
+    off the same values.  Theta-form pure kernels evaluate the n-fold
+    closed form directly, which holds at depths whose iterated parameters
+    leave the float range; every other spec evaluates ``spec_to_pgf``.
     """
+    if isinstance(spec, PureKernel) and isinstance(spec.f, ThetaPgf):
+        return _iterate_eval(spec.f.params, spec.depth, z)
+    return spec_to_pgf(spec).eval_extended(z)
+
+
+def kernel_at_rho(spec: KernelSpec, rho):
+    """Kernel value as a function of the correlation (scalar or array)."""
     arr, scalar = _as_rho_array(rho)
-    if isinstance(spec, PureKernel):
-        if isinstance(spec.f, ThetaPgf):
-            out = _pure_theta_values(spec.f.params, spec.depth, arr.copy())
-        else:
-            out = arr
-            for _ in range(spec.depth):
-                out = spec.f.eval_extended(out)
-    elif isinstance(spec, MixedKernel):
-        out = arr
-        for f in spec.factors:
-            out = f.eval_extended(out)
-    elif isinstance(spec, CMixedKernel):
-        out = _cmixed_values(spec.theta, spec.c_sequence, arr)
-    else:
-        raise TypeError(f"not a kernel spec: {spec!r}")
-    out = np.asarray(out, dtype=float)
+    out = np.asarray(_kernel_values(spec, arr), dtype=float)
     return float(out[0]) if scalar else out
-
-
-def pure_kernel_eval(f: Pgf, n: int, x: Sequence[float], z: Sequence[float]) -> float:
-    """Pure compositional kernel of depth n between two input vectors."""
-    return kernel_at_rho(PureKernel(f, n), correlation(x, z))
-
-
-def mixed_kernel_eval(fs: Sequence[Pgf], x: Sequence[float], z: Sequence[float]) -> float:
-    """Mixed compositional kernel; fs[0] is applied first."""
-    return kernel_at_rho(MixedKernel(tuple(fs)), correlation(x, z))
-
-
-def _cmixed_values(theta: float, c_sequence: Sequence[float], rho: np.ndarray) -> np.ndarray:
-    total = math.fsum(c_sequence)
-    at_one = rho >= 1.0
-    with np.errstate(divide="ignore", over="ignore"):
-        out = 1.0 - np.power(np.power(1.0 - rho, -theta) + total, -1.0 / theta)
-    out[at_one] = 1.0
-    return out
-
-
-def cmixed_kernel_eval(theta: float, c_sequence: Sequence[float],
-                       x: Sequence[float], z: Sequence[float]) -> float:
-    """c-mixed kernel 1 - ((1 - rho)**(-theta) + sum c_k)**(-1/theta)."""
-    spec = CMixedKernel(theta, tuple(c_sequence))
-    return kernel_at_rho(spec, correlation(x, z))
 
 
 def cmixed_pure_representation(theta: float, c_sequence: Sequence[float],
@@ -301,7 +222,7 @@ def kernel_limit(spec: KernelSpec, rho, c_sum: float | None = None,
             if not (math.isfinite(c_sum) and c_sum >= math.fsum(spec.c_sequence) - 1e-12):
                 raise InvalidRegime(
                     f"c_sum = {c_sum} is not a valid total for the given prefix")
-            out = _cmixed_values(spec.theta, (c_sum,), arr)
+            out = make_theta_pgf(theta=spec.theta, a=1.0, c=c_sum).eval_extended(arr)
         else:
             raise UnknownSumConvergence(
                 "c-mixed limit needs c_sum (convergent) or sum_diverges=True")
@@ -330,6 +251,8 @@ def _as_points(points) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise DimensionMismatch(
             f"points must form a non-empty 2-d array, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise DomainError("kernel inputs must be finite")
     norms = np.linalg.norm(pts, axis=1)
     if np.any(norms == 0.0):
         raise ZeroVector("kernel inputs must be nonzero vectors")
@@ -440,19 +363,15 @@ def eigensystem(spec: KernelSpec, m: int, k_max: int) -> Eigensystem:
     """Eigensystem of the kernel on the unit sphere in R^m up to degree k_max.
 
     The composed kernel's coefficients p_k come from the contour-extraction
-    oracle (not the per-factor formulas), so eigensystems stay available for
-    series and mixed specs with no closed form.
+    oracle (not the per-factor formulas) applied to the values
+    ``kernel_at_rho`` computes, so eigensystems stay available for series
+    and mixed specs with no closed form, and at every depth.
     """
-    if not (isinstance(m, int) and m >= 3):
-        raise DimensionUnsupported(
-            f"eigensystems need integer dimension m >= 3, got {m!r}"
-            + (" (m = 2 unsupported: the multiplicity formula degenerates)"
-               if m == 2 else ""))
     if not (isinstance(k_max, int) and k_max >= 0):
         raise ValueError(f"k_max must be an integer >= 0, got {k_max!r}")
-    p = series_coefficients(spec_to_pgf(spec), k_max)
+    mults = [multiplicity(m, k) for k in range(k_max + 1)]    # validates m
+    p = series_coefficients(lambda z: _kernel_values(spec, z), k_max)
     surf = surface_area(m)
-    mults = [multiplicity(m, k) for k in range(k_max + 1)]
     lambdas = [surf * float(pk) / mult for pk, mult in zip(p, mults)]
     return Eigensystem(dimension=m, lambdas=tuple(lambdas),
                        multiplicities=tuple(mults),

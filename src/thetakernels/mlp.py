@@ -149,6 +149,8 @@ def sample_mlp_output(config: MlpConfig, input: Sequence[float],
     if x.shape != (config.widths[0],):
         raise DimensionMismatch(
             f"input must have shape ({config.widths[0]},), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise DomainError(f"MLP input must be finite, got {x}")
     if float(np.linalg.norm(x)) == 0.0:
         raise ZeroVector("MLP input must be nonzero")
     if weights is not None:

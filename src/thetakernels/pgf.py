@@ -58,9 +58,7 @@ __all__ = [
     "BTable",
     "make_theta_pgf",
     "derived_c",
-    "pgf_eval",
     "pgf_iterate_closed",
-    "pgf_compose",
     "pgf_compose_sequence",
     "b_table",
     "theta_coefficients",
@@ -89,9 +87,6 @@ class Regime(str, Enum):
     ZERO_1 = "zero_1"
     ZERO_R = "zero_r"
     MINUS_ONE = "minus_one"
-
-    def is_main(self) -> bool:
-        return self in (Regime.MAIN_SUPER, Regime.MAIN_SUB_1, Regime.MAIN_SUB_R)
 
     def is_sub(self) -> bool:
         return self in (Regime.MAIN_SUB_1, Regime.MAIN_SUB_R)
@@ -230,46 +225,81 @@ def make_theta_pgf(theta: float, a: float, c: float | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation and closed-form iteration
 # ---------------------------------------------------------------------------
 
-def _closed_eval(p: ThetaParams, z):
-    """Evaluate the closed form at z (real or complex, scalar or array).
+def _iterated(p: ThetaParams, n: int) -> tuple[float, float]:
+    """Parameters of the n-fold iterate in log form: (log a_n, b_n).
+
+    In the main branch composition acts on (r - s)**(-theta) affinely,
+
+        (r - f_n(s))**(-theta) = a_n * (r - s)**(-theta) + c_n,
+
+    with a_n = a**n and c_n = c * (a**n - 1) / (a - 1), or n * c at a = 1.
+    b_n is c_n / max(a_n, 1), finite at every depth: for a > 1 the factor
+    a_n is pulled out of the bracket.  In the subcritical regimes c is
+    pinned by q, c_n = (1 - a_n) * (r - q)**(-theta), and a_n may underflow
+    to 0, where the expression lands on its limit.  The zero and minus-one
+    branches only map a -> a**n, and their b_n is 0.
+    """
+    log_an = n * math.log(p.a)
+    if p.c is None:
+        return log_an, 0.0
+    if p.regime.is_sub():
+        return log_an, -math.expm1(log_an) * (p.r - p.q) ** (-p.theta)
+    if log_an == 0.0:
+        return 0.0, n * p.c
+    return log_an, p.c * -math.expm1(-log_an) / (p.a - 1.0)
+
+
+def _iterate_eval(p: ThetaParams, n: int, z):
+    """The n-fold iterate f_n at z (real or complex, scalar or array).
 
     No domain checking: kernels evaluate at correlations in [-1, 1] and the
-    contour oracle on circles |z| < 1.  For s = 1 with theta > 0 and r = 1
-    the intermediate (1 - s)**(-theta) overflows to inf and the expression
-    collapses to the exact limit 1.0, which is the intended value.
+    contour oracle on circles |z| < 1.  Where the main closed form passes
+    through (1 - z)**(-theta) (theta > 0, r = 1) real z = 1 is assigned the
+    analytic value 1, since float evaluation there can produce inf * 0.
     """
     arr = np.asarray(z)
-    scalar = arr.ndim == 0
-    theta, a, c, q, r = p.theta, p.a, p.c, p.q, p.r
+    theta, q, r = p.theta, p.q, p.r
+    log_an, b_n = _iterated(p, n)
+    a_n = math.exp(min(log_an, 0.0))    # 1 for a > 1, where a_n is pulled out
     if p.regime is Regime.MINUS_ONE:
-        out = a * arr + (1.0 - a) * q
+        out = a_n * arr + (1.0 - a_n) * q
     elif p.regime.is_zero() or (p.regime.is_sub() and abs(theta) < THETA_ZERO_SWITCH):
-        out = r - (r - q) ** (1.0 - a) * np.power(r - arr, a)
+        out = r - (r - q) ** (1.0 - a_n) * np.power(r - arr, a_n)
     else:
-        with np.errstate(divide="ignore", over="ignore"):
-            base = a * np.power(r - arr, -theta) + c
-            out = r - np.power(base, -1.0 / theta)
-    if scalar:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            bracket = a_n * np.power(r - arr, -theta) + b_n
+            out = r - math.exp(-max(log_an, 0.0) / theta) * np.power(bracket, -1.0 / theta)
+        if theta > 0.0 and r == 1.0 and not np.iscomplexobj(arr):
+            out = np.where(arr >= 1.0, 1.0, out)
+    if arr.ndim == 0:
         return complex(out) if np.iscomplexobj(out) else float(out)
     return out
 
 
-@dataclass(frozen=True)
-class ThetaPgf:
-    """A theta PGF in closed form."""
-
-    params: ThetaParams
+class _PgfBase:
+    """Shared evaluation of the three PGF forms through ``eval_extended``."""
 
     def eval(self, s):
         """Evaluate at s in [0, 1] (scalar or array); result clipped to [0, 1]."""
         arr = np.asarray(s, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        if not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):
             raise DomainError(f"PGF argument must lie in [0, 1], got {s!r}")
-        out = np.clip(_closed_eval(self.params, arr), 0.0, 1.0)
+        out = np.clip(self.eval_extended(arr), 0.0, 1.0)
         return float(out) if arr.ndim == 0 else out
+
+    def mass(self) -> float:
+        """Total mass f(1); strictly below 1 in the defective regimes."""
+        return float(self.eval_extended(1.0))
+
+
+@dataclass(frozen=True)
+class ThetaPgf(_PgfBase):
+    """A theta PGF in closed form."""
+
+    params: ThetaParams
 
     def eval_extended(self, z):
         """Evaluate the closed form without domain checks.
@@ -277,18 +307,11 @@ class ThetaPgf:
         Valid for real z in [-1, 1] (kernel correlations) and complex z with
         |z| < 1 (contour extraction); PGFs map both regions into themselves.
         """
-        return _closed_eval(self.params, z)
-
-    def mass(self) -> float:
-        """Total mass f(1); strictly below 1 in the defective regimes."""
-        return float(_closed_eval(self.params, 1.0))
-
-    def iterate(self, n: int) -> "ThetaPgf":
-        return pgf_iterate_closed(self, n)
+        return _iterate_eval(self.params, 1, z)
 
 
 @dataclass(frozen=True)
-class SeriesPgf:
+class SeriesPgf(_PgfBase):
     """A truncated power series PGF with an explicit tail bound.
 
     ``eps_tail`` records the mass beyond the truncation: the represented
@@ -320,13 +343,6 @@ class SeriesPgf:
     def k_max(self) -> int:
         return len(self.coefficients) - 1
 
-    def eval(self, s):
-        arr = np.asarray(s, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise DomainError(f"PGF argument must lie in [0, 1], got {s!r}")
-        out = np.clip(self.eval_extended(arr), 0.0, 1.0)
-        return float(out) if arr.ndim == 0 else out
-
     def eval_extended(self, z):
         arr = np.asarray(z)
         out = np.polynomial.polynomial.polyval(arr, np.asarray(self.coefficients))
@@ -334,12 +350,9 @@ class SeriesPgf:
             return complex(out) if np.iscomplexobj(out) else float(out)
         return out
 
-    def mass(self) -> float:
-        return float(sum(self.coefficients))
-
 
 @dataclass(frozen=True)
-class ComposedPgf:
+class ComposedPgf(_PgfBase):
     """Composition of PGFs, innermost factor first."""
 
     factors: tuple["Pgf", ...]
@@ -348,36 +361,14 @@ class ComposedPgf:
         if len(self.factors) == 0:
             raise EmptySequence("composition needs at least one factor")
 
-    def eval(self, s):
-        arr = np.asarray(s, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise DomainError(f"PGF argument must lie in [0, 1], got {s!r}")
-        out = np.clip(self.eval_extended(arr), 0.0, 1.0)
-        return float(out) if arr.ndim == 0 else out
-
     def eval_extended(self, z):
         out = z
         for f in self.factors:
             out = f.eval_extended(out)
         return out
 
-    def mass(self) -> float:
-        return float(self.eval_extended(1.0))
-
 
 Pgf = Union[ThetaPgf, SeriesPgf, ComposedPgf]
-
-
-def pgf_eval(f: Pgf, s):
-    """Evaluate any PGF object at s in [0, 1]."""
-    return f.eval(s)
-
-
-def pgf_compose(outer: Pgf, inner: Pgf) -> ComposedPgf:
-    """outer(inner(.)) as a composed evaluator; nested compositions flatten."""
-    def factors(f: Pgf) -> tuple[Pgf, ...]:
-        return f.factors if isinstance(f, ComposedPgf) else (f,)
-    return ComposedPgf(factors(inner) + factors(outer))
 
 
 def pgf_compose_sequence(fs: Sequence[Pgf]) -> ComposedPgf:
@@ -391,50 +382,35 @@ def pgf_compose_sequence(fs: Sequence[Pgf]) -> ComposedPgf:
     return ComposedPgf(tuple(flat))
 
 
-# ---------------------------------------------------------------------------
-# Closed-form iteration
-# ---------------------------------------------------------------------------
-
-def _geometric_sum(a: float, n: int) -> float:
-    """1 + a + ... + a**(n-1), stable for a near 1."""
-    if a == 1.0:
-        return float(n)
-    # a - 1 is exact for a in [1, 2); expm1 keeps the numerator accurate.
-    with np.errstate(over="ignore"):
-        return float(np.expm1(n * np.log(a)) / (a - 1.0))
-
-
 def pgf_iterate_closed(f: ThetaPgf, n: int) -> ThetaPgf:
     """The n-fold self-composition of a theta PGF, again in theta form.
 
     Composition acts on parameters as a -> a**n with c accumulating the
     geometric sum c * (1 + a + ... + a**(n-1)) in the main branch; in the
     subcritical regimes this preserves the derived-c relation, so only a
-    changes.  The zero and minus-one branches also map a -> a**n.
+    changes.  The zero and minus-one branches also map a -> a**n.  Raises
+    NumericalInstability when the iterated parameters leave the float range;
+    the kernel operations still evaluate such depths.
     """
     if not isinstance(f, ThetaPgf):
         raise TypeError("closed-form iteration needs a theta-form PGF")
     if not (isinstance(n, int) and n >= 1):
         raise ValueError(f"iteration depth must be an integer >= 1, got {n!r}")
+    if n == 1:
+        return f
     p = f.params
+    log_an, b_n = _iterated(p, n)
     with np.errstate(over="ignore"):
-        a_n = float(np.exp(n * np.log(p.a))) if p.a != 1.0 else 1.0
-    if not math.isfinite(a_n) or (p.a < 1.0 and a_n == 0.0):
+        a_n = float(np.exp(log_an))
+    c_n = b_n * max(a_n, 1.0)
+    if not (0.0 < a_n < math.inf and math.isfinite(c_n)):
         raise NumericalInstability(
-            f"a**n leaves the float range for a = {p.a}, n = {n}; "
-            "use the kernel limit operations for asymptotics")
-    if p.regime is Regime.MAIN_SUPER:
-        c_n = p.c * _geometric_sum(p.a, n)
-        if not math.isfinite(c_n):
-            raise NumericalInstability(
-                f"iterated c leaves the float range for a = {p.a}, n = {n}")
-        params = ThetaParams(p.theta, a_n, c_n, None, p.r, p.regime)
-    elif p.regime.is_sub():
-        params = ThetaParams(p.theta, a_n, derived_c(p.theta, a_n, p.q, p.r),
-                             p.q, p.r, p.regime)
-    else:  # zero and minus-one branches
-        params = ThetaParams(p.theta, a_n, None, p.q, p.r, p.regime)
-    return ThetaPgf(params)
+            f"iterated parameters leave the float range for a = {p.a}, n = {n}; "
+            "use the kernel operations for deep or asymptotic values")
+    if p.regime.is_sub():       # exactly the value ThetaParams checks c against
+        c_n = derived_c(p.theta, a_n, p.q, p.r)
+    return ThetaPgf(ThetaParams(p.theta, a_n, None if p.c is None else c_n,
+                                p.q, p.r, p.regime))
 
 
 # ---------------------------------------------------------------------------

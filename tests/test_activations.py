@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from thetakernels.activations import (
     HermiteSeriesActivation,
     ReferenceActivation,
-    activation_curve,
     activation_from_coefficients,
     activation_to_pgf,
     bivariate_expectation,
-    hermite_eval,
     reference_activation,
 )
 from thetakernels.errors import (
@@ -22,7 +20,7 @@ from thetakernels.errors import (
     InvalidCoefficients,
     NotSquareIntegrableWithinBudget,
 )
-from thetakernels.hermite import half_gaussian_rule
+from thetakernels.hermite import half_gaussian_rule, hermite_value
 from thetakernels.pgf import make_theta_pgf, theta_coefficients
 
 from conftest import ALL_CASES, draw_case
@@ -92,7 +90,7 @@ class TestSeriesActivation:
     def test_quadratic_term(self):
         act = HermiteSeriesActivation((0.0, 0.0, 1.0))
         x = 0.7
-        assert act(x) == pytest.approx(hermite_eval(2, x), abs=1e-14)
+        assert act(x) == pytest.approx(hermite_value(2, x), abs=1e-14)
 
     def test_from_coefficients_takes_square_roots(self):
         act = activation_from_coefficients([0.25, 0.5])
@@ -215,11 +213,3 @@ class TestBivariate:
         with pytest.raises(DomainError):
             bivariate_expectation(reference_activation("relu"), 1.01)
 
-
-class TestCurveExport:
-    def test_columns(self):
-        xs = np.linspace(-1.0, 1.0, 5)
-        table = activation_curve(reference_activation("relu"), xs)
-        assert table.shape == (5, 2)
-        assert np.array_equal(table[:, 0], xs)
-        assert table[0, 1] == 0.0

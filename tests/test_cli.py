@@ -14,7 +14,7 @@ import pytest
 from thetakernels.cli import app
 from thetakernels.gp import fit as gp_fit
 from thetakernels.gp import predict as gp_predict
-from thetakernels.kernels import PureKernel
+from thetakernels.kernels import CMixedKernel, MixedKernel, PureKernel
 from thetakernels.pgf import make_theta_pgf
 
 
@@ -186,6 +186,16 @@ class TestKernelCommands:
         assert code == 0
         assert float(capsys.readouterr().out) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
+    @pytest.mark.parametrize("entry, key", [({"a": 1.0, "c": 1.0}, "'theta'"),
+                                            ({"theta": 1.0, "a": 1.0, "cc": 1.0}, "'cc'")])
+    def test_factors_entry_keys_checked(self, tmp_path, capsys, entry, key):
+        factors = tmp_path / "factors.json"
+        factors.write_text(json.dumps([{"theta": 1.0, "a": 1.0, "c": 1.0}, entry]))
+        assert app(["kernel-eval", "--kind", "mixed", "--factors", str(factors),
+                    "--rho", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+
     def test_mixed_needs_factors(self, capsys):
         assert app(["kernel-eval", "--kind", "mixed", "--rho", "0"]) == 2
 
@@ -334,6 +344,52 @@ class TestGpCommands:
         query = tmp_path / "query.csv"
         query.write_text("1.0,0.0\n")
         assert app(["gp-predict", "--model", str(model), "--query", str(query)]) == 2
+
+    @pytest.mark.parametrize("kernel, message", [
+        ({"kind": "pure", "depth": 1, "pgf": {"a": 1.0, "c": 1.0}}, "'theta'"),
+        ({"kind": "pure", "depth": 2.5, "pgf": {"theta": 1.0, "a": 1.0, "c": 1.0}},
+         "kernel.depth"),
+        ({"kind": "cmixed", "theta": 0.5}, "'c_sequence'"),
+    ])
+    def test_malformed_model_kernel(self, tmp_path, capsys, kernel, message):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"kernel": kernel, "inputs": [[1.0, 0.0]],
+                                     "targets": [0.5], "noise": 0.0}))
+        query = tmp_path / "query.csv"
+        query.write_text("1.0,0.0\n")
+        assert app(["gp-predict", "--model", str(model), "--query", str(query)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    # Kernel records exactly as earlier releases of gp-fit wrote them.
+    @pytest.mark.parametrize("record, spec", [
+        ({"kind": "pure", "depth": 2,
+          "pgf": {"theta": 0.0, "a": 0.5, "c": None, "q": 0.3, "r": 1.0}},
+         PureKernel(make_theta_pgf(theta=0.0, a=0.5, q=0.3), 2)),
+        ({"kind": "cmixed", "theta": 0.5, "c_sequence": [0.3, 0.2]},
+         CMixedKernel(0.5, (0.3, 0.2))),
+        ({"kind": "mixed",
+          "factors": [{"theta": 1.0, "a": 1.0, "c": 1.0, "q": None, "r": 1.0},
+                      {"theta": -1.0, "a": 0.5, "c": None, "q": 0.2, "r": 1.0}]},
+         MixedKernel((make_theta_pgf(theta=1.0, a=1.0, c=1.0),
+                      make_theta_pgf(theta=-1.0, a=0.5, q=0.2)))),
+    ])
+    def test_existing_model_file_loads(self, tmp_path, record, spec):
+        inputs = [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]
+        targets = [0.5, -0.25, 0.1]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"kernel": record, "inputs": inputs,
+                                     "targets": targets, "noise": 0.01,
+                                     "jitter": 0.0, "jitter_level": 0}, indent=2))
+        query = tmp_path / "query.csv"
+        query.write_text("0.8,0.6\n-1.0,0.0\n")
+        out = tmp_path / "pred.csv"
+        assert app(["gp-predict", "--model", str(model), "--query", str(query),
+                    "--out", str(out)]) == 0
+        expected = gp_predict(gp_fit(spec, inputs, targets, 0.01), [[0.8, 0.6], [-1.0, 0.0]])
+        table = _load_csv(out)
+        assert np.array_equal(table[:, 0], expected.means)
+        assert np.array_equal(table[:, 1], expected.variances)
 
     def test_train_needs_target_column(self, tmp_path):
         train = tmp_path / "train.csv"

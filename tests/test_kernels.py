@@ -14,6 +14,7 @@ from thetakernels.errors import (
     EmptySequence,
     IndexOutOfRange,
     InvalidRegime,
+    NumericalInstability,
     RegimeViolation,
     UnknownSumConvergence,
     ZeroVector,
@@ -22,7 +23,6 @@ from thetakernels.kernels import (
     CMixedKernel,
     MixedKernel,
     PureKernel,
-    cmixed_kernel_eval,
     cmixed_pure_representation,
     correlation,
     cross_gram,
@@ -30,9 +30,7 @@ from thetakernels.kernels import (
     gram,
     kernel_at_rho,
     kernel_limit,
-    mixed_kernel_eval,
     multiplicity,
-    pure_kernel_eval,
     spec_to_pgf,
     surface_area,
 )
@@ -40,6 +38,7 @@ from thetakernels.pgf import (
     SeriesPgf,
     ThetaPgf,
     make_theta_pgf,
+    pgf_iterate_closed,
     theta_coefficients,
 )
 
@@ -146,13 +145,39 @@ class TestClosedFormAgainstComposition:
     def test_vector_front_end(self):
         f = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
         x, z = [1.0, 0.0], [0.0, 1.0]
-        assert pure_kernel_eval(f, 2, x, z) == pytest.approx(2.0 / 3.0, abs=1e-15)
-        assert mixed_kernel_eval([f, f], x, z) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        rho = correlation(x, z)
+        assert kernel_at_rho(PureKernel(f, 2), rho) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert kernel_at_rho(MixedKernel((f, f)), rho) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_rho_outside_range(self):
         f = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
         with pytest.raises(InvalidRegime):
             kernel_at_rho(PureKernel(f, 1), 1.5)
+
+    @pytest.mark.parametrize("kind", ["theta", "series", "cmixed"])
+    @pytest.mark.parametrize("rho", [math.nan, [0.5, math.nan]])
+    def test_nan_correlation(self, kind, rho):
+        f = make_theta_pgf(theta=0.5, a=0.5, q=0.3)
+        spec = {"theta": PureKernel(f, 2), "series": PureKernel(SeriesPgf((0.5, 0.5)), 2),
+                "cmixed": CMixedKernel(0.5, (0.3, 0.2))}[kind]
+        with pytest.raises(DomainError):
+            kernel_at_rho(spec, rho)
+        with pytest.raises(DomainError):
+            kernel_limit(spec, rho, sum_diverges=True)
+
+    @pytest.mark.parametrize("theta", [1e-9, -1e-9, 5e-9])
+    def test_small_theta_matches_high_precision(self, theta):
+        # |theta| below the switch evaluates the theta = 0 form, whose error
+        # against the theta form is O(theta).
+        mpmath = pytest.importorskip("mpmath")
+        f = make_theta_pgf(theta=theta, a=0.5, q=0.3)
+        rho = np.array((-1.0,) + RHO_GRID)
+        with mpmath.workdps(60):
+            t, a, q = mpmath.mpf(theta), mpmath.mpf(0.5), mpmath.mpf(0.3)
+            c = (1 - a) * (1 - q) ** (-t)
+            exact = [float(1 - (a * (1 - mpmath.mpf(x)) ** (-t) + c) ** (-1 / t))
+                     for x in rho]
+        assert np.max(np.abs(kernel_at_rho(PureKernel(f, 1), rho) - exact)) < 1e-9
 
     def test_not_a_spec(self):
         with pytest.raises(TypeError):
@@ -161,7 +186,8 @@ class TestClosedFormAgainstComposition:
 
 class TestCMixed:
     def test_hand_value(self):
-        assert cmixed_kernel_eval(1.0, [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]) \
+        spec = CMixedKernel(1.0, (1.0, 1.0))
+        assert kernel_at_rho(spec, correlation([1.0, 0.0], [0.0, 1.0])) \
             == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_diagonal(self):
@@ -340,17 +366,27 @@ class TestCrossGram:
         with pytest.raises(DimensionMismatch):
             cross_gram(PureKernel(f, 1), np.eye(3), np.eye(4))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point(self, bad):
+        spec = PureKernel(make_theta_pgf(theta=1.0, a=1.0, c=1.0), 1)
+        points = np.array([[1.0, 0.0], [0.0, bad]])
+        with pytest.raises(DomainError):
+            gram(spec, points)
+        with pytest.raises(DomainError):
+            cross_gram(spec, np.eye(2), points)
+
 
 class TestSpecToPgf:
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_matches_kernel_everywhere(self, case):
         rng = np.random.default_rng(1100 + case)
         f = draw_case(case, rng)
-        spec = PureKernel(f, 3)
-        collapsed = spec_to_pgf(spec)
         grid = np.array(RHO_GRID + (1.0,))
-        assert np.max(np.abs(collapsed.eval_extended(grid)
-                             - kernel_at_rho(spec, grid))) < 1e-12
+        for depth in (1, 2, 3, 7):
+            spec = PureKernel(f, depth)
+            collapsed = spec_to_pgf(spec)
+            assert np.max(np.abs(collapsed.eval_extended(grid)
+                                 - kernel_at_rho(spec, grid))) < 1e-14
 
     def test_cmixed_collapse(self):
         collapsed = spec_to_pgf(CMixedKernel(0.5, (0.25, 0.5, 0.25)))
@@ -399,6 +435,16 @@ class TestEigensystem:
                                                 system.multiplicities))
         independent = surface_area(10) * float(theta_coefficients(f, 30).sum())
         assert total == pytest.approx(independent, rel=1e-10)
+
+    def test_depth_beyond_float_parameters(self):
+        # a**2000 underflows: the kernel is the constant q, and its
+        # eigensystem must say so although the iterated PGF cannot be built.
+        f = make_theta_pgf(theta=0.5, a=0.5, q=0.3)
+        spec = PureKernel(f, 2000)
+        assert np.allclose(eigensystem(spec, 3, 4).coefficients,
+                           (0.3, 0.0, 0.0, 0.0, 0.0), rtol=0.0, atol=1e-12)
+        with pytest.raises(NumericalInstability):
+            pgf_iterate_closed(f, 2000)
 
     def test_vanishing_constant_mode(self):
         f = make_theta_pgf(theta=-1.0, a=0.7, q=0.0)

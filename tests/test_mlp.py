@@ -53,6 +53,12 @@ class TestConfig:
 
 
 class TestSampleOutput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input(self, bad):
+        config = MlpConfig(widths=(2, 8, 1), activations=RELU, seed=0)
+        with pytest.raises(DomainError):
+            sample_mlp_output(config, [1.0, bad])
+
     def test_hand_traced_path(self):
         # input (3, 4) normalizes to (0.6, 0.8); the first matrix flips the
         # sign of coordinate 0, relu kills it, renormalization leaves (0, 1)

@@ -23,9 +23,7 @@ from thetakernels.pgf import (
     b_table,
     derived_c,
     make_theta_pgf,
-    pgf_compose,
     pgf_compose_sequence,
-    pgf_eval,
     pgf_iterate_closed,
     series_coefficients,
     theta_coefficients,
@@ -135,7 +133,16 @@ class TestEval:
         with pytest.raises(DomainError):
             f.eval(-0.1)
         with pytest.raises(DomainError):
-            pgf_eval(f, np.array([0.2, 1.2]))
+            f.eval(np.array([0.2, 1.2]))
+
+    @pytest.mark.parametrize("form", ["theta", "series", "composed"])
+    @pytest.mark.parametrize("bad", [math.nan, [0.5, math.nan]])
+    def test_non_finite_argument(self, form, bad):
+        f = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
+        pgf = {"theta": f, "series": SeriesPgf((0.5, 0.5)),
+               "composed": pgf_compose_sequence([f, f])}[form]
+        with pytest.raises(DomainError):
+            pgf.eval(bad)
 
     def test_array_eval(self):
         f = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
@@ -357,7 +364,7 @@ class TestSeriesExtraction:
 class TestComposition:
     def test_compose_two(self):
         f = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
-        assert pgf_compose(f, f).eval(0.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert pgf_compose_sequence([f, f]).eval(0.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_sequence_order_is_innermost_first(self):
         inner = make_theta_pgf(theta=-1.0, a=0.5, q=0.0)   # s/2
@@ -367,7 +374,7 @@ class TestComposition:
 
     def test_flattening(self):
         f = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
-        nested = pgf_compose(pgf_compose(f, f), f)
+        nested = pgf_compose_sequence([pgf_compose_sequence([f, f]), f])
         assert len(nested.factors) == 3
         assert nested.eval(0.0) == pytest.approx(0.75, abs=1e-15)
 
@@ -379,7 +386,7 @@ class TestComposition:
 
     def test_mass_composes(self):
         f = make_theta_pgf(theta=0.5, a=0.5, q=0.5, r=2.0)
-        two = pgf_compose(f, f)
+        two = pgf_compose_sequence([f, f])
         assert two.mass() == pytest.approx(f.eval(f.mass()), abs=1e-12)
 
 
