@@ -11,7 +11,8 @@ so activations and PGFs carry the same kernel information.
 
 Two activation forms are supported.  ``HermiteSeriesActivation`` stores the
 sqrt(p_k) directly (positive square root throughout; sign freedom changes phi
-but not the induced PGF).  ``ReferenceActivation`` covers the standard
+but not the induced PGF) and evaluates phi by Clenshaw's recurrence on arrays
+of the input's shape.  ``ReferenceActivation`` covers the standard
 leaky-rectifier family phi(x) = scale * (x if x > 0 else slope * x), scaled
 so E[phi(X)^2] = 1; relu, prelu(slope), and linear are the named members.
 
@@ -38,7 +39,9 @@ from .hermite import (
     half_gaussian_hermite_moments,
     half_gaussian_rule,
     hermite_design,
+    hermite_series,
 )
+from .pgf import SeriesPgf
 
 __all__ = [
     "Activation",
@@ -68,25 +71,19 @@ class HermiteSeriesActivation:
     eps_tail: float = 0.0
 
     def __post_init__(self) -> None:
-        if len(self.coefficients) == 0:
-            raise InvalidCoefficients("activation needs at least one coefficient")
         arr = np.asarray(self.coefficients, dtype=float)
         if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
             raise InvalidCoefficients(
                 "Hermite-series activation coefficients must be finite and >= 0")
-        if float(np.sum(arr * arr)) > 1.0 + 1e-12:
-            raise InvalidCoefficients(
-                f"second moment {float(np.sum(arr * arr))} exceeds 1")
+        # E[phi^2] = sum a_k^2 must be a sub-probability mass, as must eps_tail.
+        SeriesPgf(tuple((arr * arr).tolist()), eps_tail=self.eps_tail)
 
     @property
     def k_max(self) -> int:
         return len(self.coefficients) - 1
 
     def __call__(self, x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        design = hermite_design(self.k_max, arr.ravel())
-        out = np.asarray(self.coefficients) @ design
-        return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
+        return hermite_series(self.coefficients, x)
 
 
 @dataclass(frozen=True)
@@ -110,20 +107,17 @@ def activation_from_coefficients(p: Sequence[float],
                                  eps_tail: float = 0.0) -> HermiteSeriesActivation:
     """Activation with Hermite coefficients sqrt(p_k) from a PGF sequence.
 
-    Raises InvalidCoefficients for negative entries (below -1e-12) or total
-    mass above 1 + 1e-12.  Tiny negative rounding residues are clamped.
+    p and eps_tail are checked as a SeriesPgf: InvalidCoefficients for
+    negative entries (below -1e-12), total mass above 1 + 1e-12, or an
+    eps_tail that is not finite and >= 0.  Tiny negative rounding residues
+    are clamped.
     """
     arr = np.asarray(p, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidCoefficients("coefficient sequence must be non-empty and flat")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidCoefficients("coefficients must be finite")
-    if np.any(arr < -1e-12):
-        raise InvalidCoefficients(f"negative coefficient {arr.min()} below tolerance")
-    arr = np.maximum(arr, 0.0)
-    if float(arr.sum()) > 1.0 + 1e-12:
-        raise InvalidCoefficients(f"coefficient mass {float(arr.sum())} exceeds 1")
-    return HermiteSeriesActivation(tuple(np.sqrt(arr)), eps_tail=eps_tail)
+    if arr.ndim != 1:
+        raise InvalidCoefficients("coefficient sequence must be flat")
+    series = SeriesPgf(tuple(arr.tolist()), eps_tail=eps_tail)
+    return HermiteSeriesActivation(tuple(np.sqrt(series.coefficients).tolist()),
+                                   eps_tail=eps_tail)
 
 
 def reference_activation(name: str, slope: float | None = None) -> ReferenceActivation:
@@ -156,14 +150,6 @@ def reference_activation(name: str, slope: float | None = None) -> ReferenceActi
     return ReferenceActivation(name=label, slope=float(slope), scale=scale)
 
 
-def _second_moment(act: Activation, quad_nodes: int) -> float:
-    if isinstance(act, ReferenceActivation):
-        return 1.0
-    t, w = gauss_hermite_rule(quad_nodes)
-    values = act(t)
-    return float(np.sum(w * values * values))
-
-
 def activation_to_pgf(act: Activation, k_max: int = DEFAULT_K_MAX,
                       quad_nodes: int = DEFAULT_QUAD_NODES) -> np.ndarray:
     """Recover p_k = (E[phi(X) h_k(X)])^2 for k = 0 .. k_max.
@@ -174,25 +160,27 @@ def activation_to_pgf(act: Activation, k_max: int = DEFAULT_K_MAX,
     full-line quadrature at O(n^{-3/2}) accuracy, far short of the 1e-8
     oracle tolerance.
 
-    Raises NotSquareIntegrableWithinBudget when E[phi^2] exceeds 1 + 1e-8.
+    Raises NotSquareIntegrableWithinBudget when E[phi^2] exceeds 1 + 1e-8,
+    and NumericalInstability when quad_nodes exceeds 371, where the
+    Gauss-Hermite rule overflows.
     """
     if not (isinstance(k_max, int) and k_max >= 0):
         raise ValueError(f"k_max must be an integer >= 0, got {k_max!r}")
-    moment = _second_moment(act, quad_nodes)
-    if moment > 1.0 + 1e-8:
-        raise NotSquareIntegrableWithinBudget(
-            f"E[phi^2] = {moment} exceeds 1 beyond tolerance; rescale the activation")
     if isinstance(act, ReferenceActivation):
         # E[phi h_k] = scale * (slope * E[X h_k] + (1 - slope) * E[X+ h_k])
-        # and E[X h_k] = delta_{k,1} by orthonormality.
+        # and E[X h_k] = delta_{k,1} by orthonormality; E[phi^2] = 1.
         a = (1.0 - act.slope) * half_gaussian_hermite_moments(k_max)
         if k_max >= 1:
             a[1] += act.slope
         a *= act.scale
     else:
         t, w = gauss_hermite_rule(quad_nodes)
-        design = hermite_design(k_max, t)
-        a = design @ (w * act(t))
+        values = act(t)
+        moment = float(np.sum(w * values * values))
+        if moment > 1.0 + 1e-8:
+            raise NotSquareIntegrableWithinBudget(
+                f"E[phi^2] = {moment} exceeds 1 beyond tolerance; rescale the activation")
+        a = hermite_design(k_max, t) @ (w * values)
     return a * a
 
 

@@ -15,8 +15,8 @@ Conventions shared by every subcommand:
 A JSON experiment config can supply any parameter group via ``--config``;
 explicit flags win over config values.  Schema: sections pgf{theta,a,c,q,r},
 kernel{kind,depth,c_sequence}, activation{source,name,k_max},
-mlp{widths,samples,seed}, gp{noise}, output{path,format}; unknown sections
-or keys are rejected before any computation.
+mlp{widths,samples,seed}, gp{noise}, output{path}; unknown sections or keys
+are rejected before any computation.
 """
 
 from __future__ import annotations
@@ -95,7 +95,6 @@ _CONFIG_SCHEMA = {
     ("mlp", "seed"): _INTEGER,
     ("gp", "noise"): _NUMBER,
     ("output", "path"): _STRING,
-    ("output", "format"): (lambda v: v in ("csv", "json"), "csv or json"),
 }
 
 

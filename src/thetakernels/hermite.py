@@ -3,15 +3,20 @@
 The polynomials h_k here are orthonormal under the standard Gaussian weight:
 E[h_j(X) h_k(X)] = delta_jk for X ~ N(0, 1), built from the recursion
 
-    h_0 = 1,  h_1 = x,  h_{k+1}(x) = (x h_k(x) - sqrt(k) h_{k-1}(x)) / sqrt(k+1).
+    h_0 = 1,  h_1 = x,  h_{k+1}(x) = x h_k(x) / sqrt(k+1) - sqrt(k / (k+1)) h_{k-1}(x).
+
+``hermite_design`` runs it forward into the table H[k, i] = h_k(x_i), which
+quadrature projections need.  ``hermite_series`` sums sum_k c_k h_k(x) by
+Clenshaw's backward recurrence (Math. Tables Aids Comput. 1955) on arrays of
+x's own shape, so evaluating an activation needs no table.
 
 Quadrature rules are expressed directly against the N(0, 1) weight so callers
 never touch the physicists' convention: ``gauss_hermite_rule(n)`` returns
 points t_i and weights w_i with sum_i w_i g(t_i) ~ E[g(X)].
 
 Half-range moments E[max(X, 0) h_k(X)] have a closed recursion through the
-central values h_k(0); both are provided exactly, since quadrature converges
-too slowly across the kink at 0 for tight tolerances.
+central values h_k(0), read off ``hermite_design`` at x = 0, since
+quadrature converges too slowly across the kink at 0 for tight tolerances.
 """
 
 from __future__ import annotations
@@ -21,13 +26,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import NumericalInstability
+
 __all__ = [
-    "hermite_value",
     "hermite_design",
+    "hermite_series",
     "gauss_hermite_rule",
     "half_gaussian_rule",
-    "hermite_at_zero",
-    "half_gaussian_hermite_moment",
     "half_gaussian_hermite_moments",
 ]
 
@@ -37,19 +42,7 @@ _HALF_RANGE_CUTOFF = 13.0
 _HALF_RANGE_NODES = 240
 
 
-def hermite_value(k: int, x):
-    """h_k(x) for scalar or array x."""
-    if not (isinstance(k, int) and k >= 0):
-        raise ValueError(f"order must be an integer >= 0, got {k!r}")
-    arr = np.asarray(x, dtype=float)
-    prev = np.zeros_like(arr)
-    cur = np.ones_like(arr)
-    for j in range(k):
-        prev, cur = cur, (arr * cur - math.sqrt(j) * prev) / math.sqrt(j + 1)
-    return float(cur) if arr.ndim == 0 else cur
-
-
-def hermite_design(k_max: int, x: np.ndarray) -> np.ndarray:
+def hermite_design(k_max: int, x) -> np.ndarray:
     """Matrix H[k, i] = h_k(x_i) for k = 0 .. k_max, one recursion pass."""
     if not (isinstance(k_max, int) and k_max >= 0):
         raise ValueError(f"k_max must be an integer >= 0, got {k_max!r}")
@@ -59,8 +52,33 @@ def hermite_design(k_max: int, x: np.ndarray) -> np.ndarray:
     if k_max >= 1:
         out[1] = arr
     for k in range(1, k_max):
-        out[k + 1] = (arr * out[k] - math.sqrt(k) * out[k - 1]) / math.sqrt(k + 1)
+        out[k + 1] = (arr * out[k] / math.sqrt(k + 1)
+                      - math.sqrt(k) / math.sqrt(k + 1) * out[k - 1])
     return out
+
+
+def hermite_series(coefficients, x):
+    """sum_k c_k h_k(x) over x's own shape; a float for scalar x.
+
+    Clenshaw's backward recurrence b_k = c_k + x b_{k+1} / sqrt(k+1)
+    - sqrt((k+1) / (k+2)) b_{k+2}, from k = k_max down to 0, ends at the sum
+    b_0.  It holds three arrays of x's shape whatever k_max is.
+    """
+    c = np.asarray(coefficients, dtype=float)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("coefficients must be a non-empty flat sequence")
+    arr = np.asarray(x, dtype=float)
+    b1 = np.zeros_like(arr)   # b_{k+1}
+    b2 = np.zeros_like(arr)   # b_{k+2}, overwritten with b_k
+    tmp = np.empty_like(arr)
+    for k in range(c.size - 1, -1, -1):
+        b2 *= -(math.sqrt(k + 1) / math.sqrt(k + 2))
+        b2 += c[k]
+        np.multiply(arr, b1, out=tmp)
+        tmp /= math.sqrt(k + 1)
+        b2 += tmp
+        b1, b2 = b2, b1
+    return float(b1) if arr.ndim == 0 else b1
 
 
 @lru_cache(maxsize=32)
@@ -69,59 +87,47 @@ def gauss_hermite_rule(num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
     Change of variables from the physicists' rule: points scale by sqrt(2),
     weights normalize by sqrt(pi).  Exact for polynomials of degree
-    2 * num_nodes - 1.
+    2 * num_nodes - 1.  numpy's rule overflows from 372 nodes on, which
+    raises NumericalInstability rather than returning NaN weights.
     """
     if not (isinstance(num_nodes, int) and num_nodes >= 1):
         raise ValueError(f"num_nodes must be an integer >= 1, got {num_nodes!r}")
-    points, weights = np.polynomial.hermite.hermgauss(num_nodes)
+    with np.errstate(all="ignore"):
+        points, weights = np.polynomial.hermite.hermgauss(num_nodes)
+    if not (np.all(np.isfinite(points)) and np.all(np.isfinite(weights))):
+        raise NumericalInstability(
+            f"Gauss-Hermite rule with {num_nodes} nodes has non-finite nodes "
+            "or weights; use fewer nodes")
     return points * math.sqrt(2.0), weights / math.sqrt(math.pi)
 
 
-@lru_cache(maxsize=8)
-def half_gaussian_rule(num_nodes: int = _HALF_RANGE_NODES,
-                       cutoff: float = _HALF_RANGE_CUTOFF) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=1)
+def half_gaussian_rule() -> tuple[np.ndarray, np.ndarray]:
     """Quadrature for integral_0^inf g(t) phi(t) dt with phi the N(0,1) density.
 
-    Gauss-Legendre on [0, cutoff] with the density folded into the weights.
+    Gauss-Legendre on [0, 13] with the density folded into the weights.
     Useful for integrands that are smooth on the half-line but kinked at 0,
     where a full-line Hermite rule loses its convergence rate.
     """
-    points, weights = np.polynomial.legendre.leggauss(num_nodes)
-    t = 0.5 * cutoff * (points + 1.0)
-    w = 0.5 * cutoff * weights * np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    points, weights = np.polynomial.legendre.leggauss(_HALF_RANGE_NODES)
+    t = 0.5 * _HALF_RANGE_CUTOFF * (points + 1.0)
+    w = (0.5 * _HALF_RANGE_CUTOFF * weights * np.exp(-0.5 * t * t)
+         / math.sqrt(2.0 * math.pi))
     return t, w
 
 
-@lru_cache(maxsize=None)
-def hermite_at_zero(k: int) -> float:
-    """h_k(0): zero for odd k, alternating ratio recursion for even k."""
-    if not (isinstance(k, int) and k >= 0):
-        raise ValueError(f"order must be an integer >= 0, got {k!r}")
-    if k % 2 == 1:
-        return 0.0
-    value = 1.0
-    for j in range(2, k + 1, 2):
-        value *= -math.sqrt(j - 1) / math.sqrt(j)
-    return value
-
-
-def half_gaussian_hermite_moment(k: int) -> float:
-    """E[max(X, 0) h_k(X)] for X ~ N(0, 1), in closed form.
+def half_gaussian_hermite_moments(k_max: int) -> np.ndarray:
+    """Vector of E[max(X, 0) h_k(X)] for X ~ N(0, 1), k = 0 .. k_max.
 
     Integrating x phi(x) h_k(x) over [0, inf) by parts twice gives, for
     k >= 2, (h_k(0) + sqrt(k / (k - 1)) h_{k-2}(0)) * phi(0); the first two
     orders are 1/sqrt(2 pi) and 1/2.  Odd orders beyond 1 vanish.
     """
-    if not (isinstance(k, int) and k >= 0):
-        raise ValueError(f"order must be an integer >= 0, got {k!r}")
+    h0 = hermite_design(k_max, 0.0)[:, 0]
     phi0 = 1.0 / math.sqrt(2.0 * math.pi)
-    if k == 0:
-        return phi0
-    if k == 1:
-        return 0.5
-    return (hermite_at_zero(k) + math.sqrt(k / (k - 1.0)) * hermite_at_zero(k - 2)) * phi0
-
-
-def half_gaussian_hermite_moments(k_max: int) -> np.ndarray:
-    """Vector of E[max(X, 0) h_k(X)] for k = 0 .. k_max."""
-    return np.array([half_gaussian_hermite_moment(k) for k in range(k_max + 1)])
+    out = np.empty(k_max + 1)
+    out[0] = phi0
+    out[1:2] = 0.5
+    k = np.arange(2, k_max + 1)
+    out[2:] = (h0[2:] + np.sqrt(k / (k - 1.0)) * h0[:-2]) * phi0
+    return out

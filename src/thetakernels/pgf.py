@@ -193,19 +193,15 @@ def _infer_regime(theta: float, a: float, c: float | None, q: float | None,
 
 
 def make_theta_pgf(theta: float, a: float, c: float | None = None,
-                   q: float | None = None, r: float = 1.0,
-                   regime: Regime | str | None = None) -> "ThetaPgf":
+                   q: float | None = None, r: float = 1.0) -> "ThetaPgf":
     """Build a validated theta PGF.
 
-    The regime is inferred from the parameters unless given explicitly.  In
-    the subcritical main regimes either q or c may be supplied; the other is
-    derived.  Supplying both raises :class:`DerivedCMismatch` when they
-    disagree beyond ``DERIVED_C_TOL``.
+    The regime is inferred from the parameters.  In the subcritical main
+    regimes either q or c may be supplied; the other is derived.  Supplying
+    both raises :class:`DerivedCMismatch` when they disagree beyond
+    ``DERIVED_C_TOL``.
     """
-    if regime is not None:
-        regime = Regime(regime)
-    else:
-        regime = _infer_regime(theta, a, c, q, r)
+    regime = _infer_regime(theta, a, c, q, r)
 
     if regime in (Regime.MAIN_SUB_1, Regime.MAIN_SUB_R):
         if q is None and c is None:
@@ -322,20 +318,20 @@ class SeriesPgf(_PgfBase):
     eps_tail: float = 0.0
 
     def __post_init__(self) -> None:
-        if len(self.coefficients) == 0:
-            raise InvalidCoefficients("series needs at least the constant term")
         coeffs = np.asarray(self.coefficients, dtype=float)
+        if coeffs.ndim != 1 or coeffs.size == 0:
+            raise InvalidCoefficients("series needs a flat sequence with the constant term")
         if not np.all(np.isfinite(coeffs)):
             raise InvalidCoefficients("series coefficients must be finite")
         if np.any(coeffs < -1e-12):
             raise InvalidCoefficients(
                 f"negative series coefficient {coeffs.min()} below tolerance")
-        total = float(np.sum(np.maximum(coeffs, 0.0)))
+        # Clamp float dust so downstream consumers see honest non-negative mass.
+        clamped = np.maximum(coeffs, 0.0)
+        total = float(np.sum(clamped))
         if total > 1.0 + 1e-12:
             raise InvalidCoefficients(f"series mass {total} exceeds 1")
-        # Clamp float dust so downstream consumers see honest non-negative mass.
-        object.__setattr__(self, "coefficients",
-                           tuple(float(v) for v in np.maximum(coeffs, 0.0)))
+        object.__setattr__(self, "coefficients", tuple(clamped.tolist()))
         if not (math.isfinite(self.eps_tail) and self.eps_tail >= 0.0):
             raise InvalidCoefficients(f"eps_tail must be >= 0, got {self.eps_tail}")
 

@@ -19,8 +19,9 @@ from thetakernels.errors import (
     DomainError,
     InvalidCoefficients,
     NotSquareIntegrableWithinBudget,
+    NumericalInstability,
 )
-from thetakernels.hermite import half_gaussian_rule, hermite_value
+from thetakernels.hermite import half_gaussian_rule, hermite_design
 from thetakernels.pgf import make_theta_pgf, theta_coefficients
 
 from conftest import ALL_CASES, draw_case
@@ -90,7 +91,7 @@ class TestSeriesActivation:
     def test_quadratic_term(self):
         act = HermiteSeriesActivation((0.0, 0.0, 1.0))
         x = 0.7
-        assert act(x) == pytest.approx(hermite_value(2, x), abs=1e-14)
+        assert act(x) == pytest.approx(hermite_design(2, x)[2, 0], abs=1e-14)
 
     def test_from_coefficients_takes_square_roots(self):
         act = activation_from_coefficients([0.25, 0.5])
@@ -114,6 +115,13 @@ class TestSeriesActivation:
     def test_budget_enforced_at_construction(self):
         with pytest.raises(InvalidCoefficients):
             HermiteSeriesActivation((1.0, 0.5))
+
+    @pytest.mark.parametrize("eps_tail", [math.nan, -1.0, math.inf])
+    def test_eps_tail_checked(self, eps_tail):
+        with pytest.raises(InvalidCoefficients):
+            HermiteSeriesActivation((0.5,), eps_tail=eps_tail)
+        with pytest.raises(InvalidCoefficients):
+            activation_from_coefficients([0.25], eps_tail=eps_tail)
 
     def test_shape_preserved(self):
         act = HermiteSeriesActivation((0.5, 0.5))
@@ -155,6 +163,10 @@ class TestActivationToPgf:
     def test_k_max_validation(self):
         with pytest.raises(ValueError):
             activation_to_pgf(reference_activation("relu"), -1)
+
+    def test_overflowing_quadrature_raises(self):
+        with pytest.raises(NumericalInstability):
+            activation_to_pgf(activation_from_coefficients([0.5, 0.5]), 4, quad_nodes=400)
 
 
 class TestDuality:

@@ -93,6 +93,13 @@ class TestConfigFile:
         assert app(["pgf-eval", "--config", str(cfg), "--theta", "1", "--a", "1",
                     "--c", "1", "--s", "0"]) == 2
 
+    def test_output_format_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"output": {"format": "csv"}}))
+        assert app(["pgf-eval", "--config", str(cfg), "--theta", "1", "--a", "1",
+                    "--c", "1", "--s", "0"]) == 2
+        assert "'format'" in capsys.readouterr().err
+
     def test_output_path_from_config(self, tmp_path):
         out = tmp_path / "p.csv"
         cfg = tmp_path / "run.json"
@@ -138,6 +145,13 @@ class TestActivationCommands:
                     "--k-max", "6", "--out", str(out)]) == 0
         table = _load_csv(out)
         assert table[0, 1] == pytest.approx(0.5, abs=1e-10)
+
+    def test_overflowing_quadrature_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        assert app(["activation-to-pgf", "--theta", "1", "--a", "1", "--c", "1",
+                    "--k-max", "4", "--quad-nodes", "400", "--out", str(out)]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_prelu_slope_spelling(self, tmp_path):
         out = tmp_path / "p.csv"

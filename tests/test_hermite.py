@@ -1,34 +1,42 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from thetakernels.activations import activation_from_coefficients
+from thetakernels.errors import NumericalInstability
 from thetakernels.hermite import (
     gauss_hermite_rule,
-    half_gaussian_hermite_moment,
     half_gaussian_hermite_moments,
     half_gaussian_rule,
-    hermite_at_zero,
     hermite_design,
-    hermite_value,
+    hermite_series,
 )
+from thetakernels.pgf import make_theta_pgf, theta_coefficients
+
+
+def _h(k: int, x):
+    """h_k(x) as row k of the design table, in x's shape."""
+    arr = np.asarray(x, dtype=float)
+    return hermite_design(k, arr)[k].reshape(arr.shape)
 
 
 class TestHermiteValue:
     def test_low_orders(self):
         x = 1.7
-        assert hermite_value(0, x) == 1.0
-        assert hermite_value(1, x) == x
-        assert hermite_value(2, x) == pytest.approx((x * x - 1.0) / math.sqrt(2.0))
-        assert hermite_value(3, x) == pytest.approx((x ** 3 - 3.0 * x) / math.sqrt(6.0))
+        assert _h(0, x) == 1.0
+        assert _h(1, x) == x
+        assert _h(2, x) == pytest.approx((x * x - 1.0) / math.sqrt(2.0))
+        assert _h(3, x) == pytest.approx((x ** 3 - 3.0 * x) / math.sqrt(6.0))
 
     def test_array_input(self):
         x = np.array([-1.0, 0.0, 2.0])
-        out = hermite_value(2, x)
+        out = hermite_design(2, x)[2]
         assert out.shape == (3,)
         assert out[1] == pytest.approx(-1.0 / math.sqrt(2.0))
 
@@ -36,14 +44,17 @@ class TestHermiteValue:
     def test_parity(self, k):
         x = 0.83
         sign = -1.0 if k % 2 else 1.0
-        assert hermite_value(k, -x) == pytest.approx(sign * hermite_value(k, x),
-                                                     rel=1e-12, abs=1e-12)
+        assert _h(k, -x) == pytest.approx(sign * _h(k, x), rel=1e-12, abs=1e-12)
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
-            hermite_value(-1, 0.0)
+            hermite_design(-1, 0.0)
         with pytest.raises(ValueError):
-            hermite_value(1.5, 0.0)
+            hermite_design(1.5, 0.0)
+        with pytest.raises(ValueError):
+            hermite_series([], 0.0)
+        with pytest.raises(ValueError):
+            hermite_series([[1.0]], 0.0)
 
 
 class TestDesignMatrix:
@@ -52,10 +63,43 @@ class TestDesignMatrix:
         design = hermite_design(10, x)
         assert design.shape == (11, 7)
         for k in (0, 1, 5, 10):
-            assert np.allclose(design[k], hermite_value(k, x), atol=1e-14)
+            unit = np.zeros(k + 1)
+            unit[k] = 1.0
+            assert np.allclose(design[k], hermite_series(unit, x), atol=1e-14)
 
     def test_k_max_zero(self):
         assert hermite_design(0, np.array([3.0])).shape == (1, 1)
+
+
+class TestClenshawSeries:
+    @pytest.mark.parametrize("k_max", [0, 1, 64])
+    def test_matches_design_on_2d_array(self, k_max):
+        p = theta_coefficients(make_theta_pgf(theta=0.5, a=0.5, q=0.3), k_max)
+        c = np.sqrt(p)
+        x = np.random.default_rng(k_max).standard_normal((16, 40))
+        expected = (c @ hermite_design(k_max, x.ravel())).reshape(x.shape)
+        out = hermite_series(c, x)
+        assert out.shape == x.shape
+        assert np.max(np.abs(out - expected)) < 1e-13
+
+    def test_scalar_input_gives_float(self):
+        value = hermite_series([0.0, 0.0, 1.0], 0.7)
+        assert isinstance(value, float)
+        assert value == pytest.approx((0.49 - 1.0) / math.sqrt(2.0), abs=1e-15)
+
+    def test_activation_call_memory(self):
+        # One sampler chunk at width 1024: three (256, 1024) arrays, no
+        # (k_max + 1)-row design table.
+        act = activation_from_coefficients(
+            theta_coefficients(make_theta_pgf(theta=0.5, a=0.5, q=0.3), 64))
+        x = np.random.default_rng(0).standard_normal((256, 1024))
+        tracemalloc.start()
+        try:
+            act(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestGaussHermiteRule:
@@ -81,6 +125,13 @@ class TestGaussHermiteRule:
         with pytest.raises(ValueError):
             gauss_hermite_rule(0)
 
+    def test_overflowing_rule_raises(self):
+        # numpy's physicists' rule overflows to NaN weights from 372 nodes on
+        with pytest.raises(NumericalInstability):
+            gauss_hermite_rule(400)
+        points, weights = gauss_hermite_rule(371)
+        assert np.all(np.isfinite(points)) and np.all(np.isfinite(weights))
+
 
 class TestHalfGaussianRule:
     def test_total_mass(self):
@@ -100,35 +151,36 @@ class TestHalfGaussianRule:
 
 class TestCentralValues:
     def test_odd_orders_vanish(self):
-        assert all(hermite_at_zero(k) == 0.0 for k in range(1, 30, 2))
+        assert np.all(hermite_design(30, 0.0)[1::2, 0] == 0.0)
 
     @given(k=st.integers(0, 40))
     def test_matches_recursion(self, k):
-        assert hermite_at_zero(k) == pytest.approx(hermite_value(k, 0.0),
-                                                   rel=1e-13, abs=1e-13)
+        # closed form h_k(0) = prod_{j = 2, 4, .., k} -sqrt((j - 1) / j) for even k
+        expected = 0.0 if k % 2 else math.prod(
+            -math.sqrt(j - 1) / math.sqrt(j) for j in range(2, k + 1, 2))
+        assert hermite_design(k, 0.0)[k, 0] == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
 
 class TestHalfRangeMoments:
     def test_closed_values(self):
-        assert half_gaussian_hermite_moment(0) == pytest.approx(
-            1.0 / math.sqrt(2.0 * math.pi), abs=1e-15)
-        assert half_gaussian_hermite_moment(1) == 0.5
-        assert half_gaussian_hermite_moment(2) == pytest.approx(
-            1.0 / (2.0 * math.sqrt(math.pi)), abs=1e-15)
-        assert half_gaussian_hermite_moment(4) == pytest.approx(
-            -0.08143375198381997, abs=1e-15)
+        m = half_gaussian_hermite_moments(4)
+        assert m[0] == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-15)
+        assert m[1] == 0.5
+        assert m[2] == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi)), abs=1e-15)
+        assert m[4] == pytest.approx(-0.08143375198381997, abs=1e-15)
 
     def test_odd_orders_above_one_vanish(self):
-        assert all(half_gaussian_hermite_moment(k) == 0.0 for k in range(3, 31, 2))
+        assert np.all(half_gaussian_hermite_moments(30)[3::2] == 0.0)
 
     @given(k=st.integers(0, 24))
     def test_against_quadrature(self, k):
         points, weights = half_gaussian_rule()
-        numeric = float(weights @ (points * hermite_value(k, points)))
-        assert half_gaussian_hermite_moment(k) == pytest.approx(numeric, abs=1e-12)
+        numeric = float(weights @ (points * hermite_design(k, points)[k]))
+        assert half_gaussian_hermite_moments(k)[k] == pytest.approx(numeric, abs=1e-12)
 
     def test_vector_form(self):
         vec = half_gaussian_hermite_moments(6)
         assert vec.shape == (7,)
         assert vec[3] == 0.0
         assert vec[1] == 0.5
+        assert half_gaussian_hermite_moments(0).shape == (1,)

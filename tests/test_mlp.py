@@ -6,7 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from thetakernels.activations import reference_activation
+from thetakernels.activations import (
+    HermiteSeriesActivation,
+    activation_from_coefficients,
+    reference_activation,
+)
 from thetakernels.errors import DimensionMismatch, DomainError, ZeroNormLayer, ZeroVector
 from thetakernels.mlp import (
     KernelEstimate,
@@ -230,6 +234,23 @@ class TestReferenceValue:
         config = MlpConfig(widths=(2, 64, 64, 1), activations=(LINEAR, RELU), seed=0)
         assert reference_kernel_value(config, 0.4) == pytest.approx(
             _relu_closed_form(0.4), abs=1e-8)
+
+    def test_series_layers_are_normalised(self):
+        # E[phi^2] = 0.5: the layer norm makes each layer g(s) = (0.2 + 0.3 s) / 0.5,
+        # so depth 2 at 0.5 gives g(g(0.5)) = 0.82, where f(f(0.5)) = 0.305.
+        act = activation_from_coefficients([0.2, 0.3])
+        config = MlpConfig(widths=(2, 512, 512, 1), activations=act, seed=3)
+        reference = reference_kernel_value(config, 0.5)
+        assert reference == pytest.approx(0.82, abs=1e-12)
+        x, z = [1.0, 0.0], [0.5, math.sqrt(0.75)]
+        est = empirical_kernel(config, x, z, 4000)
+        assert abs(est.value - reference) < 3.0 * est.standard_error
+
+    def test_zero_series_raises(self):
+        config = MlpConfig(widths=(2, 8, 1), activations=HermiteSeriesActivation((0.0,)),
+                           seed=0)
+        with pytest.raises(ZeroNormLayer):
+            reference_kernel_value(config, 0.5)
 
 
 class TestConvergenceStudy:
