@@ -26,7 +26,6 @@ from .pgf import (
     SeriesPgf,
     ThetaParams,
     ThetaPgf,
-    b_table,
     make_theta_pgf,
     pgf_compose_sequence,
     pgf_iterate_closed,

@@ -38,7 +38,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence, Union, get_args
 
 import numpy as np
 
@@ -86,6 +86,12 @@ class MlpConfig:
                 raise DomainError(
                     f"mixed config needs {self.num_layers} activations, "
                     f"got {len(self.activations)}")
+        for layer in range(self.num_layers):
+            act = self.activation_at(layer)
+            # reference_kernel_value needs each layer's exact E[phi^2].
+            if not isinstance(act, get_args(Activation)):
+                raise DomainError("activations must be HermiteSeriesActivation or "
+                                  f"ReferenceActivation, got {act!r}")
         if not isinstance(self.seed, int):
             raise DomainError(f"seed must be an integer, got {self.seed!r}")
 

@@ -25,9 +25,10 @@ which pins the fixed point f(q) = q.  Constructors accept either q or c there
 and derive the other.
 
 Besides closed-form evaluation and iteration the module provides the series
-side of the picture: explicit coefficient formulas per branch (with the
-triangular b-table recursion for the main branch) and an independent
-coefficient oracle based on contour integration of the evaluated PGF.
+side of the picture: coefficients from the closed form (a binomial series,
+raised to the power -1/theta in the main branch by one power recurrence)
+and an independent coefficient oracle based on contour integration of the
+evaluated PGF.
 """
 
 from __future__ import annotations
@@ -55,12 +56,10 @@ __all__ = [
     "SeriesPgf",
     "ComposedPgf",
     "Pgf",
-    "BTable",
     "make_theta_pgf",
     "derived_c",
     "pgf_iterate_closed",
     "pgf_compose_sequence",
-    "b_table",
     "theta_coefficients",
     "series_coefficients",
     "theta_pgf_to_series",
@@ -248,6 +247,11 @@ def _iterated(p: ThetaParams, n: int) -> tuple[float, float]:
     return log_an, p.c * -math.expm1(-log_an) / (p.a - 1.0)
 
 
+def _uses_zero_form(p: ThetaParams) -> bool:
+    """Whether the theta = 0 closed form stands for p (see THETA_ZERO_SWITCH)."""
+    return p.regime.is_zero() or (p.regime.is_sub() and abs(p.theta) < THETA_ZERO_SWITCH)
+
+
 def _iterate_eval(p: ThetaParams, n: int, z):
     """The n-fold iterate f_n at z (real or complex, scalar or array).
 
@@ -262,7 +266,7 @@ def _iterate_eval(p: ThetaParams, n: int, z):
     a_n = math.exp(min(log_an, 0.0))    # 1 for a > 1, where a_n is pulled out
     if p.regime is Regime.MINUS_ONE:
         out = a_n * arr + (1.0 - a_n) * q
-    elif p.regime.is_zero() or (p.regime.is_sub() and abs(theta) < THETA_ZERO_SWITCH):
+    elif _uses_zero_form(p):
         out = r - (r - q) ** (1.0 - a_n) * np.power(r - arr, a_n)
     else:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -413,104 +417,52 @@ def pgf_iterate_closed(f: ThetaPgf, n: int) -> ThetaPgf:
 # Coefficients
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class BTable:
-    """Triangular table b[i, k] from the main-branch coefficient recursion.
+def _binomial_series(e: float, r: float, k_max: int) -> np.ndarray:
+    """Coefficients of (1 - s/r)**e up to order k_max."""
+    ks = np.arange(1, k_max + 1, dtype=float)
+    return np.cumprod(np.concatenate(([1.0], (ks - 1.0 - e) / (ks * r))))
 
-    b[0, k] = b[k, k] = 0, b[1, 2] = 1 + theta, and
 
-        b[i, k] = (k - 2 - i*theta) * b[i, k-1] + (1 + i*theta) * b[i-1, k-1].
+def _power_series(A: np.ndarray, alpha: float) -> np.ndarray:
+    """Coefficients of A(s)**alpha for a series A with A[0] > 0.
 
-    For theta in [0, 1] every entry is non-negative.  For theta < 0 the
-    corner entries b[k-1, k] = prod_{i<k} (1 + i*theta) oscillate in sign
-    once k - 1 > 1/|theta|; the series coefficients assembled from the table
-    remain non-negative.
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, section 4.7), from
+    g' * A = alpha * A' * g:
+
+        k * A[0] * g[k] = sum_{j=1}^{k} ((alpha + 1) * j - k) * A[j] * g[k-j].
     """
-
-    theta: float
-    k_max: int
-    entries: np.ndarray
-
-    def value(self, i: int, k: int) -> float:
-        if not (0 <= i <= k <= self.k_max):
-            raise ValueError(f"b-table index (i={i}, k={k}) outside triangle")
-        return float(self.entries[i, k])
-
-
-def b_table(theta: float, k_max: int) -> BTable:
-    """Fill the b-table up to order k_max (k_max >= 2)."""
-    if not -1.0 < theta <= 1.0:
-        raise ValueError(f"b-table is defined for theta in (-1, 1], got {theta}")
-    if not (isinstance(k_max, int) and k_max >= 2):
-        raise ValueError(f"k_max must be an integer >= 2, got {k_max!r}")
-    b = np.zeros((k_max + 1, k_max + 1))
-    b[1, 2] = 1.0 + theta
-    i = np.arange(k_max + 1, dtype=float)
-    for k in range(3, k_max + 1):
-        rows = slice(1, k)
-        b[rows, k] = ((k - 2.0 - i[rows] * theta) * b[rows, k - 1]
-                      + (1.0 + i[rows] * theta) * b[0:k - 1, k - 1])
-    return BTable(theta=theta, k_max=k_max, entries=b)
-
-
-def _main_coefficients(p: ThetaParams, k_max: int) -> np.ndarray:
-    theta, a, c, r = p.theta, p.a, p.c, p.r
-    out = np.zeros(k_max + 1)
-    out[0] = r - (a * r ** (-theta) + c) ** (-1.0 / theta)
-    if k_max == 0:
-        return out
-    g = a + c * r ** theta          # (r - s)**(-theta) pulled out at s = 0
-    out[1] = a * g ** (-1.0 - 1.0 / theta)
-    if k_max == 1:
-        return out
-    table = b_table(theta, k_max).entries
-    x = c * r ** theta / g          # in (0, 1)
-    prefac = a / g ** ((1.0 + theta) / theta)
-    x_pow = np.cumprod(np.full(k_max, x))  # x**1 .. x**k_max
-    fact = 1.0
-    for k in range(2, k_max + 1):
-        fact *= k
-        inner = float(np.dot(x_pow[:k - 1], table[1:k, k]))
-        out[k] = prefac * r ** (1.0 - k) / fact * inner
-    return out
-
-
-def _zero_coefficients(p: ThetaParams, k_max: int) -> np.ndarray:
-    a, q, r = p.a, p.q, p.r
-    out = np.zeros(k_max + 1)
-    base = (r - q) ** (1.0 - a)
-    out[0] = r - base * r ** a
-    if k_max == 0:
-        return out
-    out[1] = base * a * r ** (a - 1.0)
-    if k_max == 1:
-        return out
-    # p_k = a * r**a * base * r**(-k) * prod_{i=2}^{k} (1 - (1 + a) / i)
-    ks = np.arange(2, k_max + 1, dtype=float)
-    prods = np.cumprod(1.0 - (1.0 + a) / ks)
-    out[2:] = a * r ** a * base * r ** (-ks) * prods
-    return out
+    g = np.empty_like(A)
+    g[0] = A[0] ** alpha
+    jA = np.arange(len(A)) * A
+    for k in range(1, len(A)):
+        tail = g[k - 1::-1]
+        g[k] = ((alpha + 1.0) * np.dot(jA[1:k + 1], tail)
+                - k * np.dot(A[1:k + 1], tail)) / (k * A[0])
+    return g
 
 
 def theta_coefficients(params: ThetaParams | ThetaPgf, k_max: int) -> np.ndarray:
-    """Series coefficients p_0 .. p_{k_max} from the closed-form formulas.
+    """Series coefficients p_0 .. p_{k_max} from the closed form.
 
-    Tiny negative rounding residues are clamped to zero; the formulas are
-    exact otherwise.  For |theta| below ``THETA_ZERO_SWITCH`` in the
-    subcritical regimes the theta = 0 formulas are used.
+    Every branch but theta = -1 is f = r - g.  In the theta = 0 form g is
+    (r - q)**(1 - a) * r**a * (1 - s/r)**a, a binomial series.  In the main
+    form g = A**(-1/theta) with A = a * r**(-theta) * (1 - s/r)**(-theta) + c,
+    expanded by one power recurrence, which stays finite and accurate at
+    every order.  Tiny negative rounding residues are clamped to zero.
     """
     p = params.params if isinstance(params, ThetaPgf) else params
     if not (isinstance(k_max, int) and k_max >= 0):
         raise ValueError(f"k_max must be an integer >= 0, got {k_max!r}")
-    if p.regime is Regime.MINUS_ONE:
-        out = np.zeros(k_max + 1)
-        out[0] = (1.0 - p.a) * p.q
-        if k_max >= 1:
-            out[1] = p.a
-    elif p.regime.is_zero() or (p.regime.is_sub() and abs(p.theta) < THETA_ZERO_SWITCH):
-        out = _zero_coefficients(p, k_max)
+    if p.regime is Regime.MINUS_ONE:        # f = a * s + (1 - a) * q
+        return np.array([(1.0 - p.a) * p.q, p.a] + [0.0] * (k_max - 1))[:k_max + 1]
+    if _uses_zero_form(p):
+        g = (p.r - p.q) ** (1.0 - p.a) * p.r ** p.a * _binomial_series(p.a, p.r, k_max)
     else:
-        out = _main_coefficients(p, k_max)
+        A = p.a * p.r ** -p.theta * _binomial_series(-p.theta, p.r, k_max)
+        A[0] += p.c
+        g = _power_series(A, -1.0 / p.theta)
+    out = -g
+    out[0] = p.r - g[0]
     return np.maximum(out, 0.0)
 
 

@@ -48,6 +48,14 @@ class TestPgfCommands:
         assert table.shape == (9, 2)
         assert np.allclose(table[:, 1], 0.5 ** (np.arange(9) + 1.0), atol=1e-15)
 
+    def test_coeffs_finite_at_high_order(self, capsys):
+        code = app(["pgf-coeffs", "--theta", "0.5", "--a", "1.5", "--c", "0.3",
+                    "--k-max", "200"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 202
+        assert "nan" not in out.lower()
+
     def test_missing_parameter(self, capsys):
         assert app(["pgf-eval", "--a", "1", "--c", "1", "--s", "0"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -55,6 +55,16 @@ class TestConfig:
         with pytest.raises(DomainError):
             MlpConfig(widths=(2, 8, 1), activations=RELU, seed=1.5)
 
+    def test_duck_typed_activation_rejected(self):
+        """The limit kernel divides each layer by its exact E[phi^2], known only
+        for the two activation forms; 0.5 * x would compose to 0.125 at
+        widths (2, 256, 1) and rho 0.5 where the network reads about 0.48."""
+        half = lambda x: 0.5 * np.asarray(x)  # noqa: E731
+        with pytest.raises(DomainError):
+            MlpConfig(widths=(2, 256, 1), activations=half, seed=0)
+        with pytest.raises(DomainError):
+            MlpConfig(widths=(2, 8, 8, 1), activations=(RELU, half), seed=0)
+
 
 class TestSampleOutput:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -20,7 +20,6 @@ from thetakernels.pgf import (
     Regime,
     SeriesPgf,
     ThetaParams,
-    b_table,
     derived_c,
     make_theta_pgf,
     pgf_compose_sequence,
@@ -232,49 +231,6 @@ class TestIterate:
             pgf_iterate_closed(f, 10 ** 4)
 
 
-class TestBTable:
-    def test_base_entry(self):
-        assert b_table(0.3, 2).value(1, 2) == pytest.approx(1.3)
-
-    @given(theta=st.floats(-0.999, 1.0))
-    def test_order_three_identities(self, theta):
-        table = b_table(theta, 3)
-        assert table.value(1, 3) == pytest.approx(1.0 - theta * theta, abs=1e-12)
-        assert table.value(2, 3) == pytest.approx((1.0 + 2.0 * theta) * (1.0 + theta),
-                                                  abs=1e-12)
-
-    @given(theta=st.floats(-0.999, 1.0), k=st.integers(2, 12))
-    def test_corner_diagonal_product(self, theta, k):
-        # b[k-1, k] telescopes to prod_{i=1}^{k-1} (1 + i*theta)
-        expected = 1.0
-        for i in range(1, k):
-            expected *= 1.0 + i * theta
-        assert b_table(theta, k).value(k - 1, k) == pytest.approx(expected, rel=1e-10,
-                                                                  abs=1e-10)
-
-    @given(theta=st.floats(0.0, 1.0), k=st.integers(2, 20))
-    def test_nonnegative_for_nonnegative_theta(self, theta, k):
-        assert np.all(b_table(theta, k).entries >= 0.0)
-
-    def test_negative_entries_for_negative_theta(self):
-        """The table itself goes negative below theta = 0; the assembled
-        series coefficients stay nonnegative regardless (tested below)."""
-        assert b_table(-0.9, 3).value(2, 3) == pytest.approx(-0.08, abs=1e-12)
-
-    def test_boundary_rows_zero(self):
-        table = b_table(0.5, 8)
-        assert np.all(table.entries[0, :] == 0.0)
-        assert all(table.value(k, k) == 0.0 for k in range(1, 9))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            b_table(1.5, 4)
-        with pytest.raises(ValueError):
-            b_table(0.5, 1)
-        with pytest.raises(ValueError):
-            b_table(0.5, 4).value(3, 5)
-
-
 class TestCoefficients:
     def test_geometric_special_case(self):
         # theta = a = c = r = 1 collapses to p_k = 2**-(k+1)
@@ -302,13 +258,55 @@ class TestCoefficients:
         rng = np.random.default_rng(400 + case)
         for _ in range(3):
             f = draw_case(case, rng)
-            formulas = theta_coefficients(f, 24)
-            oracle = series_coefficients(f, 24)
-            assert np.max(np.abs(formulas - oracle)) < 1e-10
+            for k_max in (24, 160):
+                formulas = theta_coefficients(f, k_max)
+                oracle = series_coefficients(f, k_max)
+                assert np.max(np.abs(formulas - oracle)) < 1e-10
+
+    @pytest.mark.parametrize("case", (1, 2, 3, 5, 7, 9, "theta=-0.95"))
+    def test_main_branch_against_high_precision_b_table(self, case):
+        """The paper's main-branch formula, run in 120-digit arithmetic:
+
+            p_k = a * g**(-(1 + theta)/theta) * r**(1 - k) / k!
+                  * sum_{i=1}^{k-1} x**i * b[i, k],
+
+        with g = a + c * r**theta, x = c * r**theta / g and the triangular
+        table b[1, 2] = 1 + theta, b[0, k] = b[k, k] = 0,
+        b[i, k] = (k - 2 - i*theta) * b[i, k-1] + (1 + i*theta) * b[i-1, k-1].
+        Its terms grow like k! and cancel for theta < 0, hence the digits.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        k_max = 200
+        if case == "theta=-0.95":
+            f = make_theta_pgf(theta=-0.95, a=0.5, q=0.3)
+        else:
+            f = draw_case(case, np.random.default_rng(700 + case))
+        with mpmath.workdps(120):
+            theta, a, c, r = (mpmath.mpf(v) for v in
+                              (f.params.theta, f.params.a, f.params.c, f.params.r))
+            g = a + c * r ** theta
+            x = c * r ** theta / g
+            prefac = a / g ** ((1 + theta) / theta)
+            ref = [r - (a * r ** -theta + c) ** (-1 / theta), a * g ** (-1 - 1 / theta)]
+            i_theta = [i * theta for i in range(k_max + 1)]
+            x_pow = [x ** i for i in range(k_max + 1)]
+            column = [mpmath.mpf(0), 1 + theta, mpmath.mpf(0)]     # b[., 2]
+            fact = mpmath.mpf(2)
+            for k in range(2, k_max + 1):
+                if k > 2:
+                    column = [mpmath.mpf(0)] + [
+                        (k - 2 - i_theta[i]) * column[i] + (1 + i_theta[i]) * column[i - 1]
+                        for i in range(1, k)] + [mpmath.mpf(0)]
+                    fact *= k
+                inner = mpmath.fdot(x_pow[1:k], column[1:k])
+                ref.append(prefac * r ** (1 - k) / fact * inner)
+            ref = np.array([float(v) for v in ref])
+        p = theta_coefficients(f, k_max)
+        assert np.all(np.isfinite(p))
+        assert np.max(np.abs(p - ref)) < 1e-13
 
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_nonnegative_and_mass_bounded(self, case):
-        """Holds for negative theta too, where the b-table oscillates."""
         rng = np.random.default_rng(500 + case)
         for _ in range(5):
             f = draw_case(case, rng)
