@@ -36,9 +36,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", type=pathlib.Path, default=pathlib.Path("out"))
     parser.add_argument("--max-depth", type=int, default=64)
     args = parser.parse_args(argv)
+    if args.max_depth < 1:
+        parser.error("--max-depth must be at least 1")
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
-    depths = sorted({1, 2, 4, 8, 16, 32, args.max_depth})
+    # The powers of two below --max-depth, then --max-depth itself.
+    depths = [1 << k for k in range((args.max_depth - 1).bit_length())] + [args.max_depth]
     grid = np.array(RHO_GRID)
     target = args.out_dir / "depth_profiles.csv"
     with target.open("w", newline="") as handle:

@@ -107,15 +107,12 @@ def activation_from_coefficients(p: Sequence[float],
                                  eps_tail: float = 0.0) -> HermiteSeriesActivation:
     """Activation with Hermite coefficients sqrt(p_k) from a PGF sequence.
 
-    p and eps_tail are checked as a SeriesPgf: InvalidCoefficients for
-    negative entries (below -1e-12), total mass above 1 + 1e-12, or an
-    eps_tail that is not finite and >= 0.  Tiny negative rounding residues
-    are clamped.
+    p and eps_tail are checked as a SeriesPgf: InvalidCoefficients for a
+    sequence that is not flat, negative entries (below -1e-12), total mass
+    above 1 + 1e-12, or an eps_tail that is not finite and >= 0.  Tiny
+    negative rounding residues are clamped.
     """
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim != 1:
-        raise InvalidCoefficients("coefficient sequence must be flat")
-    series = SeriesPgf(tuple(arr.tolist()), eps_tail=eps_tail)
+    series = SeriesPgf(p, eps_tail=eps_tail)
     return HermiteSeriesActivation(tuple(np.sqrt(series.coefficients).tolist()),
                                    eps_tail=eps_tail)
 

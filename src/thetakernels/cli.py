@@ -44,6 +44,7 @@ from .kernels import (
     KernelSpec,
     MixedKernel,
     PureKernel,
+    correlation,
     eigensystem,
     gram,
     kernel_at_rho,
@@ -61,24 +62,21 @@ from .pgf import (
 
 __all__ = ["app", "build_parser"]
 
+#: reproduce-fig1 cases: theta PGF parameters, reference activation name and slope.
 _FIG1_CASES = {
-    "linear": dict(theta=-1.0, a=0.99, q=0.99),
-    "prelu-proxy": dict(theta=1.0, a=1.65, c=0.146),
-    "relu-proxy": dict(theta=0.99, a=0.22, c=0.203, r=4.8),
-}
-_FIG1_REFERENCES = {
-    "linear": ("linear", None),
-    "prelu-proxy": ("prelu", 0.25),
-    "relu-proxy": ("relu", None),
+    "linear": (dict(theta=-1.0, a=0.99, q=0.99), "linear", None),
+    "prelu-proxy": (dict(theta=1.0, a=1.65, c=0.146), "prelu", 0.25),
+    "relu-proxy": (dict(theta=0.99, a=0.22, c=0.203, r=4.8), "relu", None),
 }
 
-_NUMBER = (lambda v: isinstance(v, (int, float)), "a number")
-_INTEGER = (lambda v: isinstance(v, int), "an integer")
+# JSON true and false are Python bools, which are ints; neither counts as a number.
+_NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number")
+_INTEGER = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
 _STRING = (lambda v: isinstance(v, str), "a string")
 _PGF_KEYS = ("theta", "a", "c", "q", "r")
 
 #: (section, key) -> (check, what the value must be).  Config files and the
-#: PGF records of --factors and model files are validated against it.
+#: kernel records of flags, --factors and model files are validated against it.
 _CONFIG_SCHEMA = {
     **{("pgf", key): _NUMBER for key in _PGF_KEYS},
     ("kernel", "kind"): (lambda v: v in ("pure", "mixed", "cmixed"),
@@ -178,13 +176,13 @@ def _add_pgf_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--r", type=float, default=None)
 
 
-def _c_list(raw, what: str) -> tuple[float, ...]:
+def _c_list(raw, what: str, cast=float) -> tuple:
+    """A comma list flag or a config list, each entry converted by cast."""
     if raw is None:
         raise ConfigError(f"missing required parameter: {what}")
-    if isinstance(raw, (list, tuple)):
-        return tuple(float(v) for v in raw)
+    parts = raw if isinstance(raw, list) else [p for p in raw.split(",") if p.strip()]
     try:
-        return tuple(float(part) for part in str(raw).split(",") if part.strip())
+        return tuple(cast(part) for part in parts)
     except ValueError:
         raise ConfigError(f"cannot parse {what} from {raw!r}")
 
@@ -197,11 +195,16 @@ def _pgf_from_json(record, where: str) -> ThetaPgf:
     return make_theta_pgf(**given)
 
 
-def _build_theta_pgf(args, cfg: _Config) -> ThetaPgf:
+def _pgf_record(args, cfg: _Config) -> dict:
+    """The PGF record that flags and config give; flags win."""
     record = {key: _pick(getattr(args, key), cfg, "pgf", key) for key in _PGF_KEYS}
     if isinstance(record["c"], str):
         record["c"] = float(record["c"])
-    return _pgf_from_json(record, "the PGF given by flags and config")
+    return record
+
+
+def _build_theta_pgf(args, cfg: _Config) -> ThetaPgf:
+    return _pgf_from_json(_pgf_record(args, cfg), "the PGF given by flags and config")
 
 
 def _pgf_to_json(f: ThetaPgf) -> dict:
@@ -209,29 +212,57 @@ def _pgf_to_json(f: ThetaPgf) -> dict:
     return {"theta": p.theta, "a": p.a, "c": p.c, "q": p.q, "r": p.r}
 
 
-def _load_factor_list(path: str) -> tuple[ThetaPgf, ...]:
-    raw = _read_json(path, "factors file")
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("factors file must hold a non-empty JSON list of PGF objects")
-    return tuple(_pgf_from_json(entry, f"factors file entry {i}")
-                 for i, entry in enumerate(raw))
+#: Keys of a kernel record, by kind; all are required.
+_KERNEL_KEYS = {
+    "pure": ("kind", "depth", "pgf"),
+    "cmixed": ("kind", "theta", "c_sequence"),
+    "mixed": ("kind", "factors"),
+}
+
+
+def _kernel_from_json(record, where: str) -> KernelSpec:
+    """The one kernel constructor: flags, config, --factors and model files."""
+    kind = record.get("kind") if isinstance(record, dict) else None
+    if kind not in _KERNEL_KEYS:
+        raise ConfigError(f"bad {where}: kind={kind!r}")
+    _check_keys(record, _KERNEL_KEYS[kind], _KERNEL_KEYS[kind], where)
+    _check_values("kernel", {k: record[k] for k in ("depth", "c_sequence") if k in record})
+    if kind == "pure":
+        return PureKernel(_pgf_from_json(record["pgf"], f"{where} pgf"), record["depth"])
+    if kind == "cmixed":
+        _check_values("pgf", {"theta": record["theta"]})
+        return CMixedKernel(float(record["theta"]),
+                            tuple(float(v) for v in record["c_sequence"]))
+    factors = record["factors"]
+    if not isinstance(factors, list) or not factors:
+        raise ConfigError(f"{where} factors must be a non-empty JSON list of PGF objects")
+    return MixedKernel(tuple(_pgf_from_json(entry, f"{where} factor {i}")
+                             for i, entry in enumerate(factors)))
 
 
 def _build_kernel(args, cfg: _Config) -> KernelSpec:
-    kind = _pick(getattr(args, "kind", None), cfg, "kernel", "kind", "pure")
+    """Flags and config as a kernel record, built by _kernel_from_json."""
+    kind = _pick(args.kind, cfg, "kernel", "kind", "pure")
     if kind == "pure":
-        depth = _require(_pick(args.depth, cfg, "kernel", "depth"), "--depth")
-        return PureKernel(_build_theta_pgf(args, cfg), int(depth))
-    if kind == "cmixed":
-        theta = _require(_pick(args.theta, cfg, "pgf", "theta"), "--theta")
-        cs = _c_list(_pick(args.c, cfg, "kernel", "c_sequence"), "--c")
-        return CMixedKernel(float(theta), cs)
-    if kind == "mixed":
-        factors_path = getattr(args, "factors", None)
-        if factors_path is None:
-            raise ConfigError("kind=mixed needs --factors FILE (JSON list of PGF objects)")
-        return MixedKernel(_load_factor_list(factors_path))
-    raise ConfigError(f"unknown kernel kind {kind!r}")
+        record = {"depth": _pick(args.depth, cfg, "kernel", "depth"),
+                  "pgf": _pgf_record(args, cfg)}
+    elif kind == "cmixed":
+        cs = _pick(args.c, cfg, "kernel", "c_sequence")
+        record = {"theta": _pick(args.theta, cfg, "pgf", "theta"),
+                  "c_sequence": list(_c_list(cs, "--c")) if isinstance(cs, str) else cs}
+    else:
+        record = {"factors": None if args.factors is None
+                  else _read_json(args.factors, "factors file")}
+    return _kernel_from_json({"kind": kind, **record}, "kernel from flags and config")
+
+
+def _theta_activation(f: ThetaPgf, k_max: int) -> Activation:
+    series = theta_pgf_to_series(f, k_max)
+    return activation_from_coefficients(series.coefficients, eps_tail=series.eps_tail)
+
+
+def _k_max(args, cfg: _Config, default: int) -> int:
+    return int(_pick(args.k_max, cfg, "activation", "k_max", default))
 
 
 def _build_activation(args, cfg: _Config) -> Activation:
@@ -247,9 +278,7 @@ def _build_activation(args, cfg: _Config) -> Activation:
         name = _require(_pick(args.name, cfg, "activation", "name"), "--name")
         return reference_activation(name, getattr(args, "slope", None))
     if source == "theta":
-        k_max = int(_pick(args.k_max, cfg, "activation", "k_max", 64))
-        series = theta_pgf_to_series(_build_theta_pgf(args, cfg), k_max)
-        return activation_from_coefficients(series.coefficients, eps_tail=series.eps_tail)
+        return _theta_activation(_build_theta_pgf(args, cfg), _k_max(args, cfg, 64))
     raise ConfigError(f"unknown activation source {source!r}")
 
 
@@ -279,6 +308,15 @@ def _read_csv(path: str) -> np.ndarray:
     return data
 
 
+def _write(path: str | None, emit) -> None:
+    """Run emit on the file at path, or on stdout when path is None."""
+    if path is None:
+        emit(sys.stdout)
+    else:
+        with open(path, "w", newline="") as handle:
+            emit(handle)
+
+
 def _write_table(path: str | None, header: Sequence[str],
                  rows: Sequence[Sequence]) -> None:
     def emit(handle) -> None:
@@ -288,11 +326,11 @@ def _write_table(path: str | None, header: Sequence[str],
             writer.writerow([cell if isinstance(cell, (str, int)) else _fmt(cell)
                              for cell in row])
 
-    if path is None:
-        emit(sys.stdout)
-    else:
-        with open(path, "w", newline="") as handle:
-            emit(handle)
+    _write(path, emit)
+
+
+def _write_json(path: str | None, record) -> None:
+    _write(path, lambda handle: handle.write(json.dumps(record, indent=2) + "\n"))
 
 
 def _out_path(args, cfg: _Config) -> str | None:
@@ -317,9 +355,7 @@ def _cmd_pgf_iterate(args, cfg: _Config) -> None:
 
 
 def _cmd_pgf_coeffs(args, cfg: _Config) -> None:
-    f = _build_theta_pgf(args, cfg)
-    k_max = int(_pick(args.k_max, cfg, "activation", "k_max", 64))
-    p = theta_coefficients(f, k_max)
+    p = theta_coefficients(_build_theta_pgf(args, cfg), _k_max(args, cfg, 64))
     _write_table(_out_path(args, cfg), ["k", "p"], list(enumerate(p)))
 
 
@@ -339,9 +375,8 @@ def _cmd_activation_curve(args, cfg: _Config) -> None:
 
 
 def _cmd_activation_to_pgf(args, cfg: _Config) -> None:
-    act = _build_activation(args, cfg)
-    k_max = int(_pick(args.k_max, cfg, "activation", "k_max", 64))
-    p = activation_to_pgf(act, k_max, args.quad_nodes)
+    p = activation_to_pgf(_build_activation(args, cfg), _k_max(args, cfg, 64),
+                          args.quad_nodes)
     _write_table(_out_path(args, cfg), ["k", "p"], list(enumerate(p)))
 
 
@@ -352,7 +387,6 @@ def _rho_from_args(args) -> float:
         return args.rho
     if args.x is None or args.z is None:
         raise ConfigError("need --rho, or both --x and --z")
-    from .kernels import correlation
     return correlation(_c_list(args.x, "--x"), _c_list(args.z, "--z"))
 
 
@@ -378,34 +412,16 @@ def _cmd_kernel_limit(args, cfg: _Config) -> None:
 
 def _cmd_kernel_eigen(args, cfg: _Config) -> None:
     spec = _build_kernel(args, cfg)
-    system = eigensystem(spec, args.m, int(_pick(args.k_max, cfg, "activation",
-                                                 "k_max", 20)))
-    record = {"dimension": system.dimension,
-              "surface_area": surface_area(system.dimension),
-              "entries": system.records()}
-    text = json.dumps(record, indent=2)
-    path = _out_path(args, cfg)
-    if path is None:
-        print(text)
-    else:
-        with open(path, "w") as handle:
-            handle.write(text + "\n")
+    system = eigensystem(spec, args.m, _k_max(args, cfg, 20))
+    _write_json(_out_path(args, cfg), {"dimension": system.dimension,
+                                       "surface_area": surface_area(system.dimension),
+                                       "entries": system.records()})
 
 
 def _cmd_mlp_study(args, cfg: _Config) -> None:
-    names = [part for part in args.activation.split(",") if part.strip()]
-    activations = tuple(reference_activation(name) for name in names)
-    depth = args.depth if args.depth is not None else max(2, len(activations))
-    if len(activations) == 1:
-        acts: Activation | tuple[Activation, ...] = activations[0]
-    elif len(activations) == depth:
-        acts = activations
-    else:
-        raise ConfigError(
-            f"got {len(activations)} activations for depth {depth}; "
-            "give one (pure) or exactly depth many (mixed)")
-    widths = [int(w) for w in
-              _c_list(_pick(args.widths, cfg, "mlp", "widths"), "--widths")]
+    acts = _c_list(args.activation, "--activation", reference_activation)
+    depth = args.depth if args.depth is not None else max(2, len(acts))
+    widths = list(_c_list(_pick(args.widths, cfg, "mlp", "widths"), "--widths", int))
     samples = int(_pick(args.samples, cfg, "mlp", "samples", 20000))
     seed = int(_pick(args.seed, cfg, "mlp", "seed", 0))
     rho = args.rho
@@ -413,19 +429,14 @@ def _cmd_mlp_study(args, cfg: _Config) -> None:
         raise ConfigError(f"--rho must lie in [-1, 1], got {rho}")
     x = np.array([1.0, 0.0])
     z = np.array([rho, math.sqrt(1.0 - rho * rho)])
-    base = MlpConfig(widths=(2,) + (8,) * depth + (1,), activations=acts, seed=seed)
+    base = MlpConfig(widths=(2,) + (8,) * depth + (1,),
+                     activations=acts[0] if len(acts) == 1 else acts, seed=seed)
     rows = convergence_study(base, widths, x, z, samples)
     _write_table(_out_path(args, cfg), ["width", "estimate", "se", "reference", "gap"],
                  [(row.width, row.estimate, row.se, row.reference, row.gap)
                   for row in rows])
 
 
-#: Keys of a kernel record in a model file, by kind; all are required.
-_KERNEL_KEYS = {
-    "pure": ("kind", "depth", "pgf"),
-    "cmixed": ("kind", "theta", "c_sequence"),
-    "mixed": ("kind", "factors"),
-}
 _MODEL_KEYS = ("kernel", "inputs", "targets", "noise")
 
 
@@ -441,22 +452,6 @@ def _kernel_to_json(spec: KernelSpec) -> dict:
     raise ConfigError("only theta-form kernel specs can be serialized")
 
 
-def _kernel_from_json(record) -> KernelSpec:
-    kind = record.get("kind") if isinstance(record, dict) else None
-    if kind not in _KERNEL_KEYS:
-        raise ConfigError(f"bad kernel record in model file: kind={kind!r}")
-    _check_keys(record, _KERNEL_KEYS[kind], _KERNEL_KEYS[kind], "model kernel record")
-    _check_values("kernel", {k: record[k] for k in ("depth", "c_sequence") if k in record})
-    if kind == "pure":
-        return PureKernel(_pgf_from_json(record["pgf"], "model kernel pgf"),
-                          int(record["depth"]))
-    if kind == "cmixed":
-        return CMixedKernel(float(record["theta"]),
-                            tuple(float(v) for v in record["c_sequence"]))
-    return MixedKernel(tuple(_pgf_from_json(p, "model kernel factor")
-                             for p in record["factors"]))
-
-
 def _cmd_gp_fit(args, cfg: _Config) -> None:
     spec = _build_kernel(args, cfg)
     table = _read_csv(args.train)
@@ -464,15 +459,12 @@ def _cmd_gp_fit(args, cfg: _Config) -> None:
         raise ConfigError("training CSV needs coordinate columns plus a target column")
     noise = float(_pick(args.noise, cfg, "gp", "noise", 0.0))
     model = gp_fit(spec, table[:, :-1], table[:, -1], noise)
-    record = {"kernel": _kernel_to_json(spec),
-              "inputs": model.inputs.tolist(),
-              "targets": model.targets.tolist(),
-              "noise": model.noise,
-              "jitter": model.jitter,
-              "jitter_level": model.jitter_level}
-    with open(args.model_out, "w") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
+    _write_json(args.model_out, {"kernel": _kernel_to_json(spec),
+                                 "inputs": model.inputs.tolist(),
+                                 "targets": model.targets.tolist(),
+                                 "noise": model.noise,
+                                 "jitter": model.jitter,
+                                 "jitter_level": model.jitter_level})
     print(f"fit {model.targets.size} points, jitter_level={model.jitter_level}")
 
 
@@ -480,7 +472,7 @@ def _cmd_gp_predict(args, cfg: _Config) -> None:
     record = _check_keys(_read_json(args.model, "model"),
                          _MODEL_KEYS + ("jitter", "jitter_level"), _MODEL_KEYS,
                          "model file")
-    spec = _kernel_from_json(record["kernel"])
+    spec = _kernel_from_json(record["kernel"], "model kernel record")
     model = gp_fit(spec, np.asarray(record["inputs"], dtype=float),
                    np.asarray(record["targets"], dtype=float),
                    float(record["noise"]))
@@ -493,15 +485,10 @@ def _cmd_gp_predict(args, cfg: _Config) -> None:
 
 
 def _cmd_reproduce_fig1(args, cfg: _Config) -> None:
-    params = _FIG1_CASES[args.case]
-    name, slope = _FIG1_REFERENCES[args.case]
-    k_max = int(_pick(args.k_max, cfg, "activation", "k_max", 64))
-    series = theta_pgf_to_series(make_theta_pgf(**params), k_max)
-    theta_act = activation_from_coefficients(series.coefficients, eps_tail=series.eps_tail)
-    ref_act = reference_activation(name, slope)
+    params, name, slope = _FIG1_CASES[args.case]
     xs = np.linspace(-3.0, 3.0, 601)
-    theta_vals = theta_act(xs)
-    ref_vals = ref_act(xs)
+    theta_vals = _theta_activation(make_theta_pgf(**params), _k_max(args, cfg, 64))(xs)
+    ref_vals = reference_activation(name, slope)(xs)
     _write_table(_out_path(args, cfg), ["x", "theta_activation", "reference"],
                  list(zip(xs, theta_vals, ref_vals)))
     window = np.abs(xs) <= 2.0 + 1e-12

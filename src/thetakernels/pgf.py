@@ -20,9 +20,10 @@ are encoded by :class:`Regime`:
     ZERO_R       theta = 0,                  a in (0, 1),    r > 1,  q in [0, 1]
     MINUS_ONE    theta = -1,                 a in (0, 1),            q in [0, 1]
 
-In the two subcritical main regimes c is not free: c = (1 - a) * (r - q)**(-theta),
-which pins the fixed point f(q) = q.  Constructors accept either q or c there
-and derive the other.
+:class:`ThetaParams` infers the regime from (theta, a, r) and then checks only
+what that regime asks of c and q.  In the two subcritical main regimes c is not
+free: c = (1 - a) * (r - q)**(-theta), which pins the fixed point f(q) = q.
+:func:`make_theta_pgf` accepts either q or c there and derives the other.
 
 Besides closed-form evaluation and iteration the module provides the series
 side of the picture: coefficients from the closed form (a binomial series,
@@ -34,7 +35,7 @@ evaluated PGF.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence, Union
 
@@ -104,13 +105,46 @@ def _check(cond: bool, message: str) -> None:
         raise RegimeViolation(message)
 
 
+def _finite(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def _infer_regime(theta: float, a: float, r: float) -> Regime:
+    """The row of the regime table that (theta, a, r) satisfies.
+
+    This is the one place theta, a and r are checked; ThetaParams then checks
+    what the regime asks of c and q.
+    """
+    for name, value in (("theta", theta), ("a", a), ("r", r)):
+        _check(_finite(value), f"{name} must be a finite number, got {value!r}")
+    sub = 0.0 < a < 1.0
+    if theta == -1.0 and sub and r == 1.0:
+        return Regime.MINUS_ONE
+    if -1.0 < theta <= 1.0:
+        if theta > 0.0 and a >= 1.0 and r == 1.0:
+            return Regime.MAIN_SUPER
+        if sub and r >= 1.0:
+            if theta == 0.0:
+                return Regime.ZERO_1 if r == 1.0 else Regime.ZERO_R
+            return Regime.MAIN_SUB_1 if r == 1.0 else Regime.MAIN_SUB_R
+    raise RegimeViolation(f"no admissible regime for (theta={theta}, a={a}, r={r})")
+
+
+def _check_q(regime: Regime, q) -> None:
+    """q in [0, 1], and q < 1 in the r = 1 regimes MAIN_SUB_1 and ZERO_1."""
+    below_one = regime in (Regime.MAIN_SUB_1, Regime.ZERO_1)
+    _check(_finite(q) and 0.0 <= q and (q < 1.0 if below_one else q <= 1.0),
+           f"{regime.name} needs q in [0, 1{')' if below_one else ']'}, got {q!r}")
+
+
 @dataclass(frozen=True)
 class ThetaParams:
     """Validated parameter tuple for a theta PGF.
 
-    Fields not used by the regime are required to be None (q in MAIN_SUPER,
-    c outside the main regimes), so a params object never carries silently
-    ignored numbers.
+    The regime is inferred from (theta, a, r), not passed in.  Fields not
+    used by the regime are required to be None (q in MAIN_SUPER, c outside
+    the main regimes), so a params object never carries silently ignored
+    numbers.
     """
 
     theta: float
@@ -118,105 +152,53 @@ class ThetaParams:
     c: float | None
     q: float | None
     r: float
-    regime: Regime
+    regime: Regime = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("theta", "a", "r"):
-            value = getattr(self, name)
-            _check(isinstance(value, (int, float)) and math.isfinite(value),
-                   f"{name} must be a finite number, got {value!r}")
-        for name in ("c", "q"):
-            value = getattr(self, name)
-            _check(value is None or (isinstance(value, (int, float)) and math.isfinite(value)),
-                   f"{name} must be None or a finite number, got {value!r}")
-        regime = self.regime
-        theta, a, c, q, r = self.theta, self.a, self.c, self.q, self.r
+        regime = _infer_regime(self.theta, self.a, self.r)
+        object.__setattr__(self, "regime", regime)
+        c, q = self.c, self.q
+        _check(c is None or _finite(c), f"c must be None or a finite number, got {c!r}")
         if regime is Regime.MAIN_SUPER:
-            _check(0.0 < theta <= 1.0, f"MAIN_SUPER needs theta in (0, 1], got {theta}")
-            _check(a >= 1.0, f"MAIN_SUPER needs a >= 1, got {a}")
             _check(c is not None and c > 0.0, f"MAIN_SUPER needs c > 0, got {c}")
-            _check(r == 1.0, f"MAIN_SUPER needs r = 1, got {r}")
             _check(q is None, "MAIN_SUPER has no q parameter")
-        elif regime in (Regime.MAIN_SUB_1, Regime.MAIN_SUB_R):
-            _check(-1.0 < theta <= 1.0 and theta != 0.0,
-                   f"subcritical main regimes need theta in (-1, 0) u (0, 1], got {theta}")
-            _check(0.0 < a < 1.0, f"subcritical main regimes need a in (0, 1), got {a}")
-            _check(q is not None, "subcritical main regimes need q")
-            if regime is Regime.MAIN_SUB_1:
-                _check(r == 1.0, f"MAIN_SUB_1 needs r = 1, got {r}")
-                _check(0.0 <= q < 1.0, f"MAIN_SUB_1 needs q in [0, 1), got {q}")
-            else:
-                _check(r > 1.0, f"MAIN_SUB_R needs r > 1, got {r}")
-                _check(0.0 <= q <= 1.0, f"MAIN_SUB_R needs q in [0, 1], got {q}")
-            _check(c is not None, "subcritical main regimes need c (derived from q)")
-            expected = derived_c(theta, a, q, r)
-            if not abs(c - expected) <= DERIVED_C_TOL * max(1.0, abs(expected)):
-                raise DerivedCMismatch(
-                    f"c = {c} disagrees with derived value {expected} for "
-                    f"(theta={theta}, a={a}, q={q}, r={r})")
-        elif regime in (Regime.ZERO_1, Regime.ZERO_R):
-            _check(theta == 0.0, f"zero regimes need theta = 0, got {theta}")
-            _check(0.0 < a < 1.0, f"zero regimes need a in (0, 1), got {a}")
-            _check(q is not None, "zero regimes need q")
-            if regime is Regime.ZERO_1:
-                _check(r == 1.0, f"ZERO_1 needs r = 1, got {r}")
-                _check(0.0 <= q < 1.0, f"ZERO_1 needs q in [0, 1), got {q}")
-            else:
-                _check(r > 1.0, f"ZERO_R needs r > 1, got {r}")
-                _check(0.0 <= q <= 1.0, f"ZERO_R needs q in [0, 1], got {q}")
-            _check(c is None, "zero regimes have no c parameter")
-        elif regime is Regime.MINUS_ONE:
-            _check(theta == -1.0, f"MINUS_ONE needs theta = -1, got {theta}")
-            _check(0.0 < a < 1.0, f"MINUS_ONE needs a in (0, 1), got {a}")
-            _check(q is not None and 0.0 <= q <= 1.0,
-                   f"MINUS_ONE needs q in [0, 1], got {q}")
-            _check(r == 1.0, f"MINUS_ONE needs r = 1, got {r}")
-            _check(c is None, "MINUS_ONE has no c parameter")
-        else:  # pragma: no cover - enum is exhaustive
-            raise RegimeViolation(f"unknown regime {regime!r}")
-
-
-def _infer_regime(theta: float, a: float, c: float | None, q: float | None,
-                  r: float) -> Regime:
-    if theta == -1.0:
-        return Regime.MINUS_ONE
-    if theta == 0.0:
-        return Regime.ZERO_1 if r == 1.0 else Regime.ZERO_R
-    if -1.0 < theta <= 1.0:
-        if 0.0 < theta and a >= 1.0:
-            return Regime.MAIN_SUPER
-        if 0.0 < a < 1.0:
-            return Regime.MAIN_SUB_1 if r == 1.0 else Regime.MAIN_SUB_R
-    raise RegimeViolation(
-        f"no admissible regime for (theta={theta}, a={a}, c={c}, q={q}, r={r})")
+            return
+        _check_q(regime, q)
+        if not regime.is_sub():
+            _check(c is None, f"{regime.name} has no c parameter")
+            return
+        _check(c is not None, "subcritical main regimes need c (derived from q)")
+        expected = derived_c(self.theta, self.a, q, self.r)
+        if not abs(c - expected) <= DERIVED_C_TOL * max(1.0, abs(expected)):
+            raise DerivedCMismatch(
+                f"c = {c} disagrees with derived value {expected} for "
+                f"(theta={self.theta}, a={self.a}, q={q}, r={self.r})")
 
 
 def make_theta_pgf(theta: float, a: float, c: float | None = None,
                    q: float | None = None, r: float = 1.0) -> "ThetaPgf":
     """Build a validated theta PGF.
 
-    The regime is inferred from the parameters.  In the subcritical main
-    regimes either q or c may be supplied; the other is derived.  Supplying
-    both raises :class:`DerivedCMismatch` when they disagree beyond
-    ``DERIVED_C_TOL``.
+    In the subcritical main regimes either q or c may be supplied; the other
+    is derived.  Supplying both raises :class:`DerivedCMismatch` when they
+    disagree beyond ``DERIVED_C_TOL``.
     """
-    regime = _infer_regime(theta, a, c, q, r)
-
-    if regime in (Regime.MAIN_SUB_1, Regime.MAIN_SUB_R):
+    regime = _infer_regime(theta, a, r)
+    if regime.is_sub():
         if q is None and c is None:
             raise RegimeViolation("subcritical main regimes need q or c")
         if q is None:
             # Invert c = (1 - a) * (r - q)**(-theta) for q.
-            _check(c > 0.0 and a < 1.0, f"cannot derive q from c = {c} with a = {a}")
+            _check(_finite(c) and c > 0.0, f"cannot derive q from c = {c!r}")
             q = r - (c / (1.0 - a)) ** (-1.0 / theta)
             if abs(q) <= 1e-15:
                 q = 0.0
-        if c is None:
+        elif c is None:
+            _check_q(regime, q)
             c = derived_c(theta, a, q, r)
     return ThetaPgf(ThetaParams(theta=float(theta), a=float(a),
                                 c=None if c is None else float(c),
-                                q=None if q is None else float(q),
-                                r=float(r), regime=regime))
+                                q=None if q is None else float(q), r=float(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +391,7 @@ def pgf_iterate_closed(f: ThetaPgf, n: int) -> ThetaPgf:
             "use the kernel operations for deep or asymptotic values")
     if p.regime.is_sub():       # exactly the value ThetaParams checks c against
         c_n = derived_c(p.theta, a_n, p.q, p.r)
-    return ThetaPgf(ThetaParams(p.theta, a_n, None if p.c is None else c_n,
-                                p.q, p.r, p.regime))
+    return ThetaPgf(ThetaParams(p.theta, a_n, None if p.c is None else c_n, p.q, p.r))
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,12 @@ class TestPgfCommands:
         assert app(["pgf-eval", "--theta", "-0.5", "--a", "2", "--q", "0.2",
                     "--s", "0"]) == 2
 
+    def test_q_out_of_range_names_q(self, capsys):
+        assert app(["pgf-eval", "--theta", "0.5", "--a", "0.5", "--q", "1.5",
+                    "--s", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "q in [0, 1)" in err
+
     def test_numerical_failure_exit_code(self, capsys):
         code = app(["pgf-iterate", "--theta", "1", "--a", "2", "--c", "1",
                     "--n", "1000000000"])
@@ -100,6 +106,13 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"mlp": {"widths": [16, "32"]}}))
         assert app(["pgf-eval", "--config", str(cfg), "--theta", "1", "--a", "1",
                     "--c", "1", "--s", "0"]) == 2
+
+    def test_booleans_are_not_numbers(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"pgf": {"theta": True, "a": 1, "c": 1},
+                                   "kernel": {"kind": "pure", "depth": True}}))
+        assert app(["kernel-eval", "--config", str(cfg), "--rho", "0"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_output_format_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -209,7 +222,8 @@ class TestKernelCommands:
         assert float(capsys.readouterr().out) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     @pytest.mark.parametrize("entry, key", [({"a": 1.0, "c": 1.0}, "'theta'"),
-                                            ({"theta": 1.0, "a": 1.0, "cc": 1.0}, "'cc'")])
+                                            ({"theta": 1.0, "a": 1.0, "cc": 1.0}, "'cc'"),
+                                            ({"theta": True, "a": 1.0, "c": 1.0}, "pgf.theta")])
     def test_factors_entry_keys_checked(self, tmp_path, capsys, entry, key):
         factors = tmp_path / "factors.json"
         factors.write_text(json.dumps([{"theta": 1.0, "a": 1.0, "c": 1.0}, entry]))
@@ -292,6 +306,10 @@ class TestMlpStudy:
         assert app(["mlp-study", "--activation", "linear,relu", "--depth", "3",
                     "--widths", "16", "--samples", "150"]) == 2
 
+    def test_fractional_widths_rejected(self, capsys):
+        assert app(["mlp-study", "--widths", "16.7,32.2", "--samples", "100"]) == 2
+        assert "--widths" in capsys.readouterr().err
+
     def test_rho_range(self, capsys):
         assert app(["mlp-study", "--widths", "16", "--samples", "150",
                     "--rho", "1.5"]) == 2
@@ -372,6 +390,10 @@ class TestGpCommands:
         ({"kind": "pure", "depth": 2.5, "pgf": {"theta": 1.0, "a": 1.0, "c": 1.0}},
          "kernel.depth"),
         ({"kind": "cmixed", "theta": 0.5}, "'c_sequence'"),
+        ({"kind": "pure", "depth": True, "pgf": {"theta": 1.0, "a": 1.0, "c": 1.0}},
+         "kernel.depth"),
+        ({"kind": "cmixed", "theta": False, "c_sequence": [0.5]}, "pgf.theta"),
+        ({"kind": "mixed", "factors": []}, "non-empty"),
     ])
     def test_malformed_model_kernel(self, tmp_path, capsys, kernel, message):
         model = tmp_path / "model.json"

@@ -77,6 +77,8 @@ class TestRegimeValidation:
         dict(theta=0.0, a=0.5, q=1.0),            # q = 1 with r = 1
         dict(theta=-1.0, a=0.5, q=0.5, r=2.0),    # affine branch pinned to r = 1
         dict(theta=1.0, a=1.0, c=-0.5),           # c must be positive
+        dict(theta=0.5, a=0.5, q=1.5),            # q above 1, checked before c is derived
+        dict(theta=-0.5, a=0.5, q=2.5, r=2.0),    # q above 1 with r > 1
     ])
     def test_inadmissible_parameters(self, kwargs):
         with pytest.raises(RegimeViolation):
@@ -84,11 +86,9 @@ class TestRegimeValidation:
 
     def test_unused_fields_must_be_none(self):
         with pytest.raises(RegimeViolation):
-            ThetaParams(theta=1.0, a=2.0, c=1.0, q=0.5, r=1.0,
-                        regime=Regime.MAIN_SUPER)
+            ThetaParams(theta=1.0, a=2.0, c=1.0, q=0.5, r=1.0)
         with pytest.raises(RegimeViolation):
-            ThetaParams(theta=0.0, a=0.5, c=0.3, q=0.2, r=1.0,
-                        regime=Regime.ZERO_1)
+            ThetaParams(theta=0.0, a=0.5, c=0.3, q=0.2, r=1.0)
 
     def test_non_finite_rejected(self):
         with pytest.raises(RegimeViolation):

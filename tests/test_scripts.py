@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import importlib.util
 from pathlib import Path
 
@@ -34,3 +35,13 @@ def test_script_runs(tmp_path, name):
         lines = (tmp_path / output).read_text().splitlines()
         assert lines[0] == header
         assert len(lines) > 1
+
+
+def test_depth_limits_caps_depths(tmp_path):
+    spec = importlib.util.spec_from_file_location("depth_limits", SCRIPTS / "depth_limits.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(["--out-dir", str(tmp_path), "--max-depth", "8"]) == 0
+    with (tmp_path / "depth_profiles.csv").open(newline="") as handle:
+        depths = {int(row["depth"]) for row in csv.DictReader(handle)}
+    assert depths == {1, 2, 4, 8}
