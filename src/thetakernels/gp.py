@@ -64,10 +64,13 @@ def fit(spec: KernelSpec, X: Sequence[Sequence[float]], y: Sequence[float],
     kmat = gram(spec, inputs)
     n = kmat.shape[0]
     scale = float(np.trace(kmat)) / n + noise
+    diagonal = kmat.diagonal().copy()
     for level, relative in enumerate(JITTER_LADDER):
         jitter = relative * scale
+        # kmat is this call's own array: shift its diagonal in place.
+        np.fill_diagonal(kmat, diagonal + (noise + jitter))
         try:
-            chol = np.linalg.cholesky(kmat + (noise + jitter) * np.eye(n))
+            chol = np.linalg.cholesky(kmat)
         except np.linalg.LinAlgError:
             continue
         alpha = solve_triangular(

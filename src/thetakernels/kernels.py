@@ -20,6 +20,11 @@ Values at rho = 1 are assigned analytically wherever the closed form passes
 through (1 - rho)**(-theta): float evaluation at the singularity would
 produce inf * 0 artifacts.  Kernel values can be negative for rho < 0 (any
 factor with p_1 > p_0 does it), so no range clamping is applied to outputs.
+
+Kernel values are computed in cache-sized blocks of correlations, and series
+factors are summed by Horner's rule in place, so a Gram matrix allocates
+little beyond its result.  Every step is elementwise: outputs do not depend
+on the block size.
 """
 
 from __future__ import annotations
@@ -162,24 +167,35 @@ def _as_rho_array(rho) -> tuple[np.ndarray, bool]:
     return arr, scalar
 
 
-def _kernel_values(spec: KernelSpec, z):
-    """Kernel as a function of the correlation, without the range check.
+def _kernel_evaluator(spec: KernelSpec):
+    """The kernel as a function of the correlation, without the range check.
 
-    Accepts real or complex z, so the eigensystem reads its coefficients
-    off the same values.  Theta-form pure kernels evaluate the n-fold
-    closed form directly, which holds at depths whose iterated parameters
-    leave the float range; every other spec evaluates ``spec_to_pgf``.
+    The returned function accepts real or complex z, so the eigensystem
+    reads its coefficients off the same values.  Theta-form pure kernels
+    evaluate the n-fold closed form directly, which holds at depths whose
+    iterated parameters leave the float range; every other spec evaluates
+    ``spec_to_pgf``.
     """
     if isinstance(spec, PureKernel) and isinstance(spec.f, ThetaPgf):
-        return _iterate_eval(spec.f.params, spec.depth, z)
-    return spec_to_pgf(spec).eval_extended(z)
+        params, depth = spec.f.params, spec.depth
+        return lambda z: _iterate_eval(params, depth, z)
+    return spec_to_pgf(spec).eval_extended
+
+
+#: Correlations evaluated per block: 256 KB of float64, so the temporaries of
+#: a whole factor chain stay in a core's L2 cache.
+_BLOCK = 2 ** 15
 
 
 def kernel_at_rho(spec: KernelSpec, rho):
     """Kernel value as a function of the correlation (scalar or array)."""
     arr, scalar = _as_rho_array(rho)
-    out = np.asarray(_kernel_values(spec, arr), dtype=float)
-    return float(out[0]) if scalar else out
+    evaluate = _kernel_evaluator(spec)
+    flat = arr.reshape(-1)
+    out = np.empty(flat.shape)
+    for start in range(0, flat.size, _BLOCK):
+        out[start:start + _BLOCK] = evaluate(flat[start:start + _BLOCK])
+    return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
 def cmixed_pure_representation(theta: float, c_sequence: Sequence[float],
@@ -370,7 +386,7 @@ def eigensystem(spec: KernelSpec, m: int, k_max: int) -> Eigensystem:
     if not (isinstance(k_max, int) and k_max >= 0):
         raise ValueError(f"k_max must be an integer >= 0, got {k_max!r}")
     mults = [multiplicity(m, k) for k in range(k_max + 1)]    # validates m
-    p = series_coefficients(lambda z: _kernel_values(spec, z), k_max)
+    p = series_coefficients(_kernel_evaluator(spec), k_max)
     surf = surface_area(m)
     lambdas = [surf * float(pk) / mult for pk, mult in zip(p, mults)]
     return Eigensystem(dimension=m, lambdas=tuple(lambdas),

@@ -190,7 +190,12 @@ def make_theta_pgf(theta: float, a: float, c: float | None = None,
         if q is None:
             # Invert c = (1 - a) * (r - q)**(-theta) for q.
             _check(_finite(c) and c > 0.0, f"cannot derive q from c = {c!r}")
-            q = r - (c / (1.0 - a)) ** (-1.0 / theta)
+            try:
+                q = r - (c / (1.0 - a)) ** (-1.0 / theta)
+            except OverflowError:   # the power overflows: q would be -inf
+                raise RegimeViolation(
+                    f"c = {c!r} derives q = -inf for (theta={theta}, a={a}, r={r}); "
+                    "q must be >= 0") from None
             if abs(q) <= 1e-15:
                 q = 0.0
         elif c is None:
@@ -326,8 +331,18 @@ class SeriesPgf(_PgfBase):
         return len(self.coefficients) - 1
 
     def eval_extended(self, z):
+        """Horner's rule in place on one array of z's shape (real or complex).
+
+        Each order is ``out *= z; out += c_k``, the same operations numpy's
+        ``polyval`` performs, so results match it bitwise for finite arrays,
+        with no temporaries of z's size.
+        """
         arr = np.asarray(z)
-        out = np.polynomial.polynomial.polyval(arr, np.asarray(self.coefficients))
+        coeffs = self.coefficients
+        out = np.full(arr.shape, coeffs[-1], dtype=np.result_type(arr, float))
+        for ck in coeffs[-2::-1]:
+            out *= arr
+            out += ck
         if arr.ndim == 0:
             return complex(out) if np.iscomplexobj(out) else float(out)
         return out

@@ -70,6 +70,12 @@ class TestPgfCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "q in [0, 1)" in err
 
+    def test_overflowing_derived_q_names_c(self, capsys):
+        assert app(["pgf-eval", "--theta", "-0.01", "--a", "0.5", "--c", "1e10",
+                    "--s", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "c = 10000000000.0" in err
+
     def test_numerical_failure_exit_code(self, capsys):
         code = app(["pgf-iterate", "--theta", "1", "--a", "2", "--c", "1",
                     "--n", "1000000000"])

@@ -6,7 +6,7 @@ import pytest
 from thetakernels import gp
 from thetakernels.errors import DimensionMismatch, DomainError, FactorizationFailed
 from thetakernels.gp import JITTER_LADDER, fit, predict
-from thetakernels.kernels import PureKernel, kernel_at_rho
+from thetakernels.kernels import PureKernel, gram, kernel_at_rho
 from thetakernels.pgf import make_theta_pgf
 
 
@@ -46,6 +46,24 @@ class TestFit:
         model = fit(_spec(), X, y)
         assert model.jitter_level >= 1
         assert model.jitter > 0.0
+
+    @pytest.mark.parametrize("ladder, duplicate, noise, level", [
+        (JITTER_LADDER, False, 0.01, 0),
+        (JITTER_LADDER, True, 0.0, 1),
+        ((-2.0, 0.0), False, 0.01, 1),      # the first attempt cannot succeed
+    ])
+    def test_factor_of_shifted_gram(self, monkeypatch, ladder, duplicate, noise, level):
+        # fit shifts the Gram's diagonal in place; each ladder attempt must
+        # start from the unshifted Gram, so the factor is exactly that of
+        # K + (noise + jitter) I.
+        monkeypatch.setattr(gp, "JITTER_LADDER", ladder)
+        X, y = _training_set(count=6)
+        if duplicate:
+            X[3] = X[0]
+        model = fit(_spec(), X, y, noise=noise)
+        assert model.jitter_level == level
+        shifted = gram(_spec(), model.inputs) + (noise + model.jitter) * np.eye(len(X))
+        assert np.array_equal(model.chol_lower, np.linalg.cholesky(shifted))
 
     def test_input_scale_invariance(self):
         X, y = _training_set()

@@ -19,7 +19,9 @@ from thetakernels.errors import (
     UnknownSumConvergence,
     ZeroVector,
 )
+from thetakernels import kernels
 from thetakernels.kernels import (
+    _BLOCK,
     CMixedKernel,
     MixedKernel,
     PureKernel,
@@ -40,6 +42,7 @@ from thetakernels.pgf import (
     make_theta_pgf,
     pgf_iterate_closed,
     theta_coefficients,
+    theta_pgf_to_series,
 )
 
 from conftest import ALL_CASES, RHO_GRID, draw_case
@@ -374,6 +377,62 @@ class TestCrossGram:
             gram(spec, points)
         with pytest.raises(DomainError):
             cross_gram(spec, np.eye(2), points)
+
+
+def _blocked_specs() -> dict:
+    series = [theta_pgf_to_series(make_theta_pgf(theta=theta, a=0.5, q=0.2, r=3.0), 32)
+              for theta in (0.3, 0.6, 0.9)]
+    return {
+        "pure": PureKernel(make_theta_pgf(theta=0.5, a=1.2, c=0.4), 3),
+        "cmixed": CMixedKernel(0.6, (0.3, 0.5, 0.2)),
+        "pure-series": PureKernel(series[0], 2),
+        "mixed-series": MixedKernel(tuple(series)),
+    }
+
+
+class TestBlockedEvaluation:
+    """kernel_at_rho over several blocks equals per-element evaluation."""
+
+    SIZE = 2 * _BLOCK + 17
+
+    def _correlations(self) -> np.ndarray:
+        rng = np.random.default_rng(31)
+        rho = rng.uniform(-1.0, 1.0, self.SIZE)
+        rho[[0, _BLOCK, -1]] = (-1.0, 1.0, 1.0)
+        return rho
+
+    @pytest.mark.parametrize("kind", ["pure", "cmixed", "pure-series", "mixed-series"])
+    def test_matches_scalar_calls(self, kind):
+        spec = _blocked_specs()[kind]
+        rho = self._correlations()
+        out = kernel_at_rho(spec, rho)
+        assert out.shape == rho.shape and out.dtype == np.float64
+        assert np.array_equal(out, kernels._kernel_evaluator(spec)(rho))
+        edges = [i for b in (_BLOCK, 2 * _BLOCK) for i in (b - 2, b - 1, b, b + 1)]
+        picks = np.random.default_rng(32).choice(self.SIZE, 150, replace=False)
+        for i in [0, self.SIZE - 1, *edges, *picks]:
+            assert out[i] == kernel_at_rho(spec, float(rho[i])), i
+
+    @pytest.mark.parametrize("kind", ["pure", "cmixed", "pure-series", "mixed-series"])
+    def test_keeps_two_dimensional_shape(self, kind):
+        spec = _blocked_specs()[kind]
+        flat = kernel_at_rho(spec, self._correlations())
+        square = self._correlations().reshape(3, -1)
+        assert np.array_equal(kernel_at_rho(spec, square), flat.reshape(3, -1))
+        assert np.array_equal(kernel_at_rho(spec, square.T), flat.reshape(3, -1).T)
+
+    @pytest.mark.parametrize("bad, error", [(math.nan, DomainError), (1.5, InvalidRegime),
+                                            (-1.0 - 1e-12, InvalidRegime)])
+    def test_bad_value_in_last_block_raises(self, bad, error):
+        rho = self._correlations()
+        rho[-1] = bad
+        with pytest.raises(error):
+            kernel_at_rho(_blocked_specs()["mixed-series"], rho)
+
+    def test_empty(self):
+        for shape in ((0,), (0, 3)):
+            out = kernel_at_rho(_blocked_specs()["pure"], np.empty(shape))
+            assert out.shape == shape
 
 
 class TestSpecToPgf:

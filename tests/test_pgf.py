@@ -79,6 +79,7 @@ class TestRegimeValidation:
         dict(theta=1.0, a=1.0, c=-0.5),           # c must be positive
         dict(theta=0.5, a=0.5, q=1.5),            # q above 1, checked before c is derived
         dict(theta=-0.5, a=0.5, q=2.5, r=2.0),    # q above 1 with r > 1
+        dict(theta=-0.01, a=0.5, c=1e10),         # q derived from c overflows to -inf
     ])
     def test_inadmissible_parameters(self, kwargs):
         with pytest.raises(RegimeViolation):
@@ -417,3 +418,34 @@ class TestSeriesPgf:
         with pytest.raises(DomainError):
             s.eval(-0.5)
         assert s.eval_extended(-0.5) == 0.25
+
+    @pytest.mark.parametrize("k_max", [0, 1, 64])
+    def test_eval_extended_matches_polyval(self, k_max):
+        # numpy's polyval is the independent oracle: in-place Horner performs
+        # the same operations, so arrays agree bitwise.
+        rng = np.random.default_rng(400 + k_max)
+        weights = rng.random(k_max + 1)
+        s = SeriesPgf(tuple(weights / weights.sum()))
+        coeffs = np.asarray(s.coefficients)
+        real = rng.uniform(-1.0, 1.0, size=(3, 257))
+        nodes = 0.9 * np.exp(2j * np.pi * np.arange(512) / 512)
+        for z in (real, nodes):
+            out = s.eval_extended(z)
+            expected = np.polynomial.polynomial.polyval(z, coeffs)
+            assert out.shape == z.shape and out.dtype == expected.dtype
+            assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("k_max", [0, 1, 64])
+    def test_eval_extended_scalars(self, k_max):
+        rng = np.random.default_rng(500 + k_max)
+        weights = rng.random(k_max + 1)
+        s = SeriesPgf(tuple(weights / weights.sum()))
+        coeffs = np.asarray(s.coefficients)
+        for x in rng.uniform(-1.0, 1.0, size=20):
+            value = s.eval_extended(float(x))
+            assert type(value) is float
+            assert value == np.polynomial.polynomial.polyval(float(x), coeffs)
+        for w in 0.9 * np.exp(2j * np.pi * rng.random(20)):
+            value = s.eval_extended(complex(w))
+            assert type(value) is complex
+            assert abs(value - np.polynomial.polynomial.polyval(complex(w), coeffs)) <= 1e-15
