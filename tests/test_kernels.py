@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from thetakernels import kernels
 from thetakernels.errors import (
     DimensionMismatch,
     DimensionUnsupported,
@@ -19,7 +20,6 @@ from thetakernels.errors import (
     UnknownSumConvergence,
     ZeroVector,
 )
-from thetakernels import kernels
 from thetakernels.kernels import (
     _BLOCK,
     CMixedKernel,
@@ -417,9 +417,9 @@ class TestBlockedEvaluation:
     def test_keeps_two_dimensional_shape(self, kind):
         spec = _blocked_specs()[kind]
         flat = kernel_at_rho(spec, self._correlations())
-        square = self._correlations().reshape(3, -1)
-        assert np.array_equal(kernel_at_rho(spec, square), flat.reshape(3, -1))
-        assert np.array_equal(kernel_at_rho(spec, square.T), flat.reshape(3, -1).T)
+        matrix = self._correlations().reshape(3, -1)
+        assert np.array_equal(kernel_at_rho(spec, matrix), flat.reshape(3, -1))
+        assert np.array_equal(kernel_at_rho(spec, matrix.T), flat.reshape(3, -1).T)
 
     @pytest.mark.parametrize("bad, error", [(math.nan, DomainError), (1.5, InvalidRegime),
                                             (-1.0 - 1e-12, InvalidRegime)])
