@@ -16,9 +16,10 @@ of the input's shape.  ``ReferenceActivation`` covers the standard
 leaky-rectifier family phi(x) = scale * (x if x > 0 else slope * x), scaled
 so E[phi(X)^2] = 1; relu, prelu(slope), and linear are the named members.
 
-Coefficient recovery uses Gauss-Hermite quadrature for series forms (exact
-for polynomials within the node budget) and closed half-Gaussian moments for
-reference forms, whose kink at 0 defeats full-line quadrature rates.
+Coefficient recovery reads a series form's a_k^2 off directly (exact by
+orthonormality), uses closed half-Gaussian moments for reference forms, whose
+kink at 0 defeats full-line quadrature rates, and projects any other callable
+by Gauss-Hermite quadrature.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ __all__ = [
     "bivariate_expectation",
 ]
 
-DEFAULT_QUAD_NODES = 200
+_QUAD_NODES = 200
 DEFAULT_K_MAX = 64
 
 _REFERENCE_SLOPES = {"relu": 0.0, "linear": 1.0}
@@ -147,23 +148,26 @@ def reference_activation(name: str, slope: float | None = None) -> ReferenceActi
     return ReferenceActivation(name=label, slope=float(slope), scale=scale)
 
 
-def activation_to_pgf(act: Activation, k_max: int = DEFAULT_K_MAX,
-                      quad_nodes: int = DEFAULT_QUAD_NODES) -> np.ndarray:
+def activation_to_pgf(act: Activation, k_max: int = DEFAULT_K_MAX) -> np.ndarray:
     """Recover p_k = (E[phi(X) h_k(X)])^2 for k = 0 .. k_max.
 
-    Series activations are projected with Gauss-Hermite quadrature, exact
-    while quad_nodes exceeds the polynomial degree budget.  Reference forms
-    use the closed half-Gaussian moment recursion: the kink at zero caps
-    full-line quadrature at O(n^{-3/2}) accuracy, far short of the 1e-8
-    oracle tolerance.
+    Series activations return their a_k^2, zero-padded or truncated to
+    k_max: exact by orthonormality at every order.  Reference forms use the
+    closed half-Gaussian moment recursion: the kink at zero caps full-line
+    quadrature at O(n^{-3/2}) accuracy, far short of the 1e-8 oracle
+    tolerance.  Any other callable is projected by a 200-node Gauss-Hermite
+    rule, exact for polynomials of degree below 400.
 
-    Raises NotSquareIntegrableWithinBudget when E[phi^2] exceeds 1 + 1e-8,
-    and NumericalInstability when quad_nodes exceeds 371, where the
-    Gauss-Hermite rule overflows.
+    Raises NotSquareIntegrableWithinBudget when such a callable's E[phi^2]
+    exceeds 1 + 1e-8.
     """
     if not (isinstance(k_max, int) and k_max >= 0):
         raise ValueError(f"k_max must be an integer >= 0, got {k_max!r}")
-    if isinstance(act, ReferenceActivation):
+    if isinstance(act, HermiteSeriesActivation):
+        a = np.zeros(k_max + 1)
+        kept = act.coefficients[:k_max + 1]
+        a[:len(kept)] = kept
+    elif isinstance(act, ReferenceActivation):
         # E[phi h_k] = scale * (slope * E[X h_k] + (1 - slope) * E[X+ h_k])
         # and E[X h_k] = delta_{k,1} by orthonormality; E[phi^2] = 1.
         a = (1.0 - act.slope) * half_gaussian_hermite_moments(k_max)
@@ -171,7 +175,7 @@ def activation_to_pgf(act: Activation, k_max: int = DEFAULT_K_MAX,
             a[1] += act.slope
         a *= act.scale
     else:
-        t, w = gauss_hermite_rule(quad_nodes)
+        t, w = gauss_hermite_rule(_QUAD_NODES)
         values = act(t)
         moment = float(np.sum(w * values * values))
         if moment > 1.0 + 1e-8:
@@ -181,9 +185,8 @@ def activation_to_pgf(act: Activation, k_max: int = DEFAULT_K_MAX,
     return a * a
 
 
-def _series_bivariate(act: HermiteSeriesActivation, s: float,
-                      quad_nodes: int) -> float:
-    t, w = gauss_hermite_rule(quad_nodes)
+def _series_bivariate(act: HermiteSeriesActivation, s: float) -> float:
+    t, w = gauss_hermite_rule(_QUAD_NODES)
     if abs(s) == 1.0:
         return float(np.sum(w * act(t) * act(math.copysign(1.0, s) * t)))
     beta = math.sqrt(1.0 - s * s)
@@ -211,8 +214,7 @@ def _reference_bivariate(act: ReferenceActivation, s: float) -> float:
     return act.scale ** 2 * (act.slope * s + (1.0 - act.slope) ** 2 * j)
 
 
-def bivariate_expectation(act: Activation, s: float,
-                          quad_nodes: int = DEFAULT_QUAD_NODES) -> float:
+def bivariate_expectation(act: Activation, s: float) -> float:
     """E[phi(X) phi(Z)] for jointly Gaussian (X, Z) with correlation s.
 
     Computed by quadrature over the representation Z = s X + sqrt(1 - s^2) Y
@@ -227,4 +229,4 @@ def bivariate_expectation(act: Activation, s: float,
         raise DomainError(f"correlation must lie in [-1, 1], got {s}")
     if isinstance(act, ReferenceActivation):
         return _reference_bivariate(act, s)
-    return _series_bivariate(act, s, quad_nodes)
+    return _series_bivariate(act, s)

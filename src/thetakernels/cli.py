@@ -375,8 +375,7 @@ def _cmd_activation_curve(args, cfg: _Config) -> None:
 
 
 def _cmd_activation_to_pgf(args, cfg: _Config) -> None:
-    p = activation_to_pgf(_build_activation(args, cfg), _k_max(args, cfg, 64),
-                          args.quad_nodes)
+    p = activation_to_pgf(_build_activation(args, cfg), _k_max(args, cfg, 64))
     _write_table(_out_path(args, cfg), ["k", "p"], list(enumerate(p)))
 
 
@@ -544,8 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
             s.add_argument("--x-min", type=float, default=-3.0)
             s.add_argument("--x-max", type=float, default=3.0)
             s.add_argument("--step", type=float, default=0.01)
-        else:
-            s.add_argument("--quad-nodes", type=int, default=200)
 
     def add_kernel_flags(s: argparse.ArgumentParser) -> None:
         s.add_argument("--kind", choices=("pure", "mixed", "cmixed"), default=None)

@@ -22,9 +22,10 @@ produce inf * 0 artifacts.  Kernel values can be negative for rho < 0 (any
 factor with p_1 > p_0 does it), so no range clamping is applied to outputs.
 
 Kernel values are computed in cache-sized blocks of correlations, and series
-factors are summed by Horner's rule in place, so a Gram matrix allocates
-little beyond its result.  Every step is elementwise: outputs do not depend
-on the block size.
+factors are summed by Horner's rule in place.  Gram matrices are built in row
+tiles of about one block each (product, clip, evaluate, write), so they
+allocate little beyond their result.  Every step is elementwise: outputs do
+not depend on the block size.
 """
 
 from __future__ import annotations
@@ -130,6 +131,27 @@ KernelSpec = Union[PureKernel, MixedKernel, CMixedKernel]
 # Correlation
 # ---------------------------------------------------------------------------
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    """A finite vector, or each row of a finite matrix, divided by its norm.
+
+    A vector whose norm overflows to inf or underflows to 0 is first scaled by
+    the power of two that brings its largest entry into [0.5, 1); every other
+    vector is divided by its plain norm, so its bits do not depend on the
+    rescue.  Raises ZeroVector for a vector of zeros.
+    """
+    axis = -1 if v.ndim > 1 else None
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(v, axis=axis, keepdims=True)
+    bad = (norms == 0.0) | np.isinf(norms)
+    if bad.any():
+        _, exponent = np.frexp(np.max(np.abs(v), axis=-1, keepdims=True))
+        v = np.where(bad, np.ldexp(v, -exponent), v)
+        norms = np.linalg.norm(v, axis=axis, keepdims=True)
+        if np.any(norms == 0.0):
+            raise ZeroVector("a zero vector has no direction")
+    return v / norms
+
+
 def correlation(x: Sequence[float], z: Sequence[float]) -> float:
     """Inner product of unit-normalized vectors, clamped to [-1, 1].
 
@@ -143,13 +165,10 @@ def correlation(x: Sequence[float], z: Sequence[float]) -> float:
             f"correlation needs two vectors of equal length, got {xv.shape} and {zv.shape}")
     if not (np.isfinite(xv).all() and np.isfinite(zv).all()):
         raise DomainError(f"correlation needs finite vectors, got {xv} and {zv}")
-    nx = float(np.linalg.norm(xv))
-    nz = float(np.linalg.norm(zv))
-    if nx == 0.0 or nz == 0.0:
-        raise ZeroVector("correlation is undefined for zero vectors")
+    ux, uz = _unit(xv), _unit(zv)
     if np.array_equal(xv, zv):
         return 1.0
-    rho = float(np.dot(xv / nx, zv / nz))
+    rho = float(np.dot(ux, uz))
     return min(1.0, max(-1.0, rho))
 
 
@@ -269,28 +288,46 @@ def _as_points(points) -> np.ndarray:
             f"points must form a non-empty 2-d array, got shape {pts.shape}")
     if not np.isfinite(pts).all():
         raise DomainError("kernel inputs must be finite")
-    norms = np.linalg.norm(pts, axis=1)
-    if np.any(norms == 0.0):
-        raise ZeroVector("kernel inputs must be nonzero vectors")
-    return pts / norms[:, None]
+    return _unit(pts)
+
+
+def _kernel_matrix(spec: KernelSpec, ua: np.ndarray, ub: np.ndarray,
+                   symmetric: bool) -> np.ndarray:
+    """Kernel matrix of unit rows ua against unit rows ub, in row tiles.
+
+    Each tile of about ``_BLOCK`` correlations is multiplied, clipped and
+    evaluated on its own, so nothing of the matrix's size exists but the
+    result.  With ``symmetric`` (ub is ua) a tile starts at its own
+    diagonal, which is set to correlation 1, and every entry below the
+    diagonal is copied from its mirror entry.
+    """
+    n, m = ua.shape[0], ub.shape[0]
+    out = np.empty((n, m))
+    rows = max(1, _BLOCK // m)
+    for i in range(0, n, rows):
+        j = i if symmetric else 0
+        rho = ua[i:i + rows] @ ub[j:].T
+        np.clip(rho, -1.0, 1.0, out=rho)
+        if symmetric:
+            np.fill_diagonal(rho, 1.0)
+        out[i:i + rows, j:] = kernel_at_rho(spec, rho)
+        if symmetric:
+            r = rho.shape[0]
+            out[i:i + r, :i] = out[:i, i:i + r].T
+            square = out[i:i + r, i:i + r]
+            np.copyto(square, square.T, where=np.tri(r, k=-1, dtype=bool))
+    return out
 
 
 def gram(spec: KernelSpec, points) -> np.ndarray:
     """Symmetric kernel matrix over a list of input vectors.
 
-    Each unordered pair is evaluated once and mirrored, so symmetry is exact
-    by construction.
+    Only the upper triangle is evaluated, tile by tile; each entry below the
+    diagonal is a copy of its mirror, so symmetry is exact by construction.
+    Beyond the n x n result it allocates about ``_BLOCK`` correlations.
     """
     unit = _as_points(points)
-    n = unit.shape[0]
-    rho = np.clip(unit @ unit.T, -1.0, 1.0)
-    np.fill_diagonal(rho, 1.0)
-    iu = np.triu_indices(n)
-    values = kernel_at_rho(spec, rho[iu])
-    out = np.zeros((n, n))
-    out[iu] = values
-    out.T[iu] = values
-    return out
+    return _kernel_matrix(spec, unit, unit, symmetric=True)
 
 
 def cross_gram(spec: KernelSpec, points_a, points_b) -> np.ndarray:
@@ -300,8 +337,7 @@ def cross_gram(spec: KernelSpec, points_a, points_b) -> np.ndarray:
     if ua.shape[1] != ub.shape[1]:
         raise DimensionMismatch(
             f"point sets live in different dimensions: {ua.shape[1]} vs {ub.shape[1]}")
-    rho = np.clip(ua @ ub.T, -1.0, 1.0)
-    return kernel_at_rho(spec, rho.ravel()).reshape(rho.shape)
+    return _kernel_matrix(spec, ua, ub, symmetric=False)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from .errors import (
     ZeroNormLayer,
     ZeroVector,
 )
-from .kernels import MixedKernel, correlation, kernel_at_rho
+from .kernels import MixedKernel, _unit, correlation, kernel_at_rho
 from .pgf import SeriesPgf
 
 __all__ = [
@@ -137,10 +137,10 @@ def _layer_generator(seed: int, stream: int, layer: int) -> np.random.Generator:
 
 
 def _normalized(vec: np.ndarray, what: str) -> np.ndarray:
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise ZeroNormLayer(f"{what} has zero norm")
-    return vec / norm
+    try:
+        return _unit(vec)
+    except ZeroVector:
+        raise ZeroNormLayer(f"{what} has zero norm") from None
 
 
 def sample_mlp_output(config: MlpConfig, input: Sequence[float],
@@ -157,7 +157,7 @@ def sample_mlp_output(config: MlpConfig, input: Sequence[float],
             f"input must have shape ({config.widths[0]},), got {x.shape}")
     if not np.isfinite(x).all():
         raise DomainError(f"MLP input must be finite, got {x}")
-    if float(np.linalg.norm(x)) == 0.0:
+    if not x.any():
         raise ZeroVector("MLP input must be nonzero")
     if weights is not None:
         weights = [np.asarray(w, dtype=float) for w in weights]

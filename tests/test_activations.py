@@ -19,7 +19,6 @@ from thetakernels.errors import (
     DomainError,
     InvalidCoefficients,
     NotSquareIntegrableWithinBudget,
-    NumericalInstability,
 )
 from thetakernels.hermite import half_gaussian_rule, hermite_design
 from thetakernels.pgf import make_theta_pgf, theta_coefficients
@@ -154,6 +153,27 @@ class TestActivationToPgf:
         recovered = activation_to_pgf(act, 5)
         assert np.max(np.abs(recovered - original)) < 1e-12
 
+    def test_series_padded_and_truncated(self):
+        original = np.array([0.1, 0.3, 0.2, 0.05, 0.0, 0.15])
+        act = activation_from_coefficients(original)
+        assert np.allclose(activation_to_pgf(act, 2), original[:3], rtol=1e-15, atol=0.0)
+        padded = activation_to_pgf(act, 9)
+        assert padded.shape == (10,) and np.all(padded[6:] == 0.0)
+
+    def test_series_exact_beyond_quadrature_degree(self):
+        # a 200-node rule is exact to degree 399 only: at order 300 it was
+        # off by 7.6e-5 here
+        p = theta_coefficients(make_theta_pgf(theta=-0.5, a=0.5, q=0.3), 300)
+        recovered = activation_to_pgf(activation_from_coefficients(p), 300)
+        assert np.allclose(recovered, p, rtol=1e-15, atol=0.0)
+
+    def test_plain_callable_projected_by_quadrature(self):
+        original = np.array([0.1, 0.3, 0.2, 0.05, 0.0, 0.15])
+        act = activation_from_coefficients(original)
+        recovered = activation_to_pgf(lambda x: act(x), 8)
+        assert np.max(np.abs(recovered[:6] - original)) < 1e-12
+        assert np.max(np.abs(recovered[6:])) < 1e-12
+
     def test_unnormalized_callable_rejected(self):
         # duck-typed callables skip the constructor check and hit the
         # quadrature budget instead
@@ -163,10 +183,6 @@ class TestActivationToPgf:
     def test_k_max_validation(self):
         with pytest.raises(ValueError):
             activation_to_pgf(reference_activation("relu"), -1)
-
-    def test_overflowing_quadrature_raises(self):
-        with pytest.raises(NumericalInstability):
-            activation_to_pgf(activation_from_coefficients([0.5, 0.5]), 4, quad_nodes=400)
 
 
 class TestDuality:

@@ -173,13 +173,6 @@ class TestActivationCommands:
         table = _load_csv(out)
         assert table[0, 1] == pytest.approx(0.5, abs=1e-10)
 
-    def test_overflowing_quadrature_exits_3(self, tmp_path, capsys):
-        out = tmp_path / "p.csv"
-        assert app(["activation-to-pgf", "--theta", "1", "--a", "1", "--c", "1",
-                    "--k-max", "4", "--quad-nodes", "400", "--out", str(out)]) == 3
-        assert "error:" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_prelu_slope_spelling(self, tmp_path):
         out = tmp_path / "p.csv"
         assert app(["activation-to-pgf", "--name", "prelu(0.25)", "--k-max", "2",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,19 @@ class TestCorrelation:
     def test_zero_vector(self):
         with pytest.raises(ZeroVector):
             correlation([0.0, 0.0], [1.0, 0.0])
+        with pytest.raises(ZeroVector):
+            correlation([0.0, 0.0], [0.0, 0.0])
+
+    @pytest.mark.parametrize("x", [[1e200, 1e200], [1e-200, 1e-200], [1e-310, 1e-310],
+                                   [1.7e308, -1.7e308]])
+    def test_norm_outside_float_range(self, x):
+        # the plain norm overflows to inf or underflows to 0; 1e-310 is
+        # subnormal, where a scale of 2**-exponent would itself overflow
+        expected = 1.0 / math.sqrt(2.0)
+        assert correlation(x, [1.0, 0.0]) == pytest.approx(expected, rel=1e-15)
+        assert correlation([0.0, -1.0], x) == pytest.approx(-math.copysign(expected, x[1]),
+                                                           rel=1e-15)
+        assert correlation(x, x) == 1.0
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -315,9 +329,10 @@ class TestGram:
         assert gram(PureKernel(make_theta_pgf(theta=-1.0, a=0.5, q=0.0), 1),
                     [[1.0, 0.0], [-1.0, 0.0]]).min() < 0.0
 
-    def test_symmetry_exact(self):
+    @pytest.mark.parametrize("count", [12, 300])   # 300 points span three row tiles
+    def test_symmetry_exact(self, count):
         rng = np.random.default_rng(11)
-        pts = _sphere_points(rng, 12, 5)
+        pts = _sphere_points(rng, count, 5)
         f = make_theta_pgf(theta=0.5, a=1.2, c=0.7)
         out = gram(PureKernel(f, 3), pts)
         assert np.array_equal(out, out.T)
@@ -344,6 +359,17 @@ class TestGram:
         f = make_theta_pgf(theta=1.0, a=1.0, c=0.5)
         spec = PureKernel(f, 2)
         assert np.array_equal(gram(spec, pts), gram(spec, pts * 7.5))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-310])
+    def test_norm_outside_float_range(self, scale):
+        spec = PureKernel(make_theta_pgf(theta=1.0, a=1.0, c=1.0), 1)
+        points = [[scale, scale], [1.0, 0.0]]
+        off = kernel_at_rho(spec, 1.0 / math.sqrt(2.0))
+        assert off == pytest.approx(0.77346, abs=1e-5)
+        out = gram(spec, points)
+        assert out[0, 1] == pytest.approx(off, rel=1e-14)
+        assert out[1, 0] == out[0, 1]
+        assert cross_gram(spec, points[:1], points[1:])[0, 0] == pytest.approx(off, rel=1e-14)
 
     def test_input_validation(self):
         f = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
@@ -433,6 +459,77 @@ class TestBlockedEvaluation:
         for shape in ((0,), (0, 3)):
             out = kernel_at_rho(_blocked_specs()["pure"], np.empty(shape))
             assert out.shape == shape
+
+
+class TestTiledMatrices:
+    """gram and cross_gram equal one whole-matrix evaluation, tile by tile.
+
+    BLAS may round a tile's product differently from the whole matrix's, so
+    the bitwise checks use points whose correlations are exact in floating
+    point: 4 or 16 entries of +-1 in R^16 (norm 2 or 4) times a power of two.
+    """
+
+    KINDS = ["pure", "cmixed", "mixed-series"]
+
+    @staticmethod
+    def _exact_points(count, seed=41):
+        rng = np.random.default_rng(seed + count)
+        pts = rng.choice([-1.0, 1.0], size=(count, 16))
+        short = rng.random(count) < 0.5
+        pts[short, 4:] = 0.0
+        pts = rng.permuted(pts, axis=1)
+        return np.ldexp(pts, rng.integers(-3, 4, size=(count, 1)))
+
+    @staticmethod
+    def _whole(spec, a, b, diagonal_one=False):
+        ua = a / np.linalg.norm(a, axis=1, keepdims=True)
+        ub = b / np.linalg.norm(b, axis=1, keepdims=True)
+        rho = np.clip(ua @ ub.T, -1.0, 1.0)
+        if diagonal_one:
+            np.fill_diagonal(rho, 1.0)
+        return kernel_at_rho(spec, rho)
+
+    # rows per tile is _BLOCK // 181 = 181 at n = 181, 180 at n = 182
+    @pytest.mark.parametrize("n", [1, 2, 180, 181, 182, 300])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_gram_matches_whole_matrix(self, kind, n):
+        spec = _blocked_specs()[kind]
+        pts = self._exact_points(n)
+        assert np.array_equal(gram(spec, pts), self._whole(spec, pts, pts, diagonal_one=True))
+
+    # m = 512 gives 64 rows per tile
+    @pytest.mark.parametrize("n", [1, 63, 65, 197])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cross_gram_matches_whole_matrix(self, kind, n):
+        spec = _blocked_specs()[kind]
+        a, b = self._exact_points(n), self._exact_points(512)
+        assert np.array_equal(cross_gram(spec, a, b), self._whole(spec, a, b))
+
+    def test_cross_gram_one_row_per_tile(self):
+        spec = _blocked_specs()["mixed-series"]
+        a, b = self._exact_points(3), self._exact_points(_BLOCK + 3)
+        assert np.array_equal(cross_gram(spec, a, b), self._whole(spec, a, b))
+
+    def test_rounding_of_general_points(self):
+        spec = _blocked_specs()["mixed-series"]
+        pts = np.random.default_rng(42).standard_normal((300, 5))
+        out = gram(spec, pts)
+        assert np.allclose(out, self._whole(spec, pts, pts, diagonal_one=True),
+                           rtol=1e-13, atol=0.0)
+        assert np.all(np.diag(out) == kernel_at_rho(spec, 1.0))
+        assert np.allclose(cross_gram(spec, pts[:70], pts), out[:70], rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("build", ["gram", "cross_gram"])
+    def test_peak_memory_near_result(self, build):
+        spec = _blocked_specs()["mixed-series"]
+        pts = np.random.default_rng(44).standard_normal((1000, 8))
+        tracemalloc.start()
+        try:
+            out = gram(spec, pts) if build == "gram" else cross_gram(spec, pts, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * out.nbytes
 
 
 class TestSpecToPgf:

@@ -106,6 +106,13 @@ class TestSampleOutput:
         with pytest.raises(ZeroNormLayer):
             sample_mlp_output(config, [1.0, 1.0], weights=weights)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_input_norm_outside_float_range(self, scale):
+        # the norm of (scale, scale) overflows to inf or underflows to 0
+        config = MlpConfig(widths=(2, 8, 8, 1), activations=RELU, seed=4)
+        assert np.allclose(sample_mlp_output(config, [scale, scale]),
+                           sample_mlp_output(config, [1.0, 1.0]), rtol=1e-14, atol=0.0)
+
     def test_input_validation(self):
         config = MlpConfig(widths=(2, 4, 1), activations=RELU, seed=0)
         with pytest.raises(DimensionMismatch):
