@@ -329,10 +329,9 @@ class TestGram:
         assert gram(PureKernel(make_theta_pgf(theta=-1.0, a=0.5, q=0.0), 1),
                     [[1.0, 0.0], [-1.0, 0.0]]).min() < 0.0
 
-    @pytest.mark.parametrize("count", [12, 300])   # 300 points span three row tiles
-    def test_symmetry_exact(self, count):
+    def test_symmetry_exact(self):
         rng = np.random.default_rng(11)
-        pts = _sphere_points(rng, count, 5)
+        pts = _sphere_points(rng, 12, 5)
         f = make_theta_pgf(theta=0.5, a=1.2, c=0.7)
         out = gram(PureKernel(f, 3), pts)
         assert np.array_equal(out, out.T)
@@ -518,6 +517,11 @@ class TestTiledMatrices:
                            rtol=1e-13, atol=0.0)
         assert np.all(np.diag(out) == kernel_at_rho(spec, 1.0))
         assert np.allclose(cross_gram(spec, pts[:70], pts), out[:70], rtol=1e-13, atol=0.0)
+
+    def test_gram_symmetric_over_several_tiles(self):
+        f = make_theta_pgf(theta=0.5, a=1.2, c=0.7)
+        out = gram(PureKernel(f, 3), np.random.default_rng(43).standard_normal((300, 6)))
+        assert np.array_equal(out, out.T)
 
     @pytest.mark.parametrize("build", ["gram", "cross_gram"])
     def test_peak_memory_near_result(self, build):
