@@ -34,6 +34,7 @@ from .errors import (
     DomainError,
     InvalidCoefficients,
     NotSquareIntegrableWithinBudget,
+    _order,
 )
 from .hermite import (
     gauss_hermite_rule,
@@ -42,7 +43,7 @@ from .hermite import (
     hermite_design,
     hermite_series,
 )
-from .pgf import SeriesPgf
+from .pgf import DEFAULT_SERIES_K, SeriesPgf
 
 __all__ = [
     "Activation",
@@ -55,7 +56,6 @@ __all__ = [
 ]
 
 _QUAD_NODES = 200
-DEFAULT_K_MAX = 64
 
 _REFERENCE_SLOPES = {"relu": 0.0, "linear": 1.0}
 
@@ -148,7 +148,7 @@ def reference_activation(name: str, slope: float | None = None) -> ReferenceActi
     return ReferenceActivation(name=label, slope=float(slope), scale=scale)
 
 
-def activation_to_pgf(act: Activation, k_max: int = DEFAULT_K_MAX) -> np.ndarray:
+def activation_to_pgf(act: Activation, k_max: int = DEFAULT_SERIES_K) -> np.ndarray:
     """Recover p_k = (E[phi(X) h_k(X)])^2 for k = 0 .. k_max.
 
     Series activations return their a_k^2, zero-padded or truncated to
@@ -161,8 +161,7 @@ def activation_to_pgf(act: Activation, k_max: int = DEFAULT_K_MAX) -> np.ndarray
     Raises NotSquareIntegrableWithinBudget when such a callable's E[phi^2]
     exceeds 1 + 1e-8.
     """
-    if not (isinstance(k_max, int) and k_max >= 0):
-        raise ValueError(f"k_max must be an integer >= 0, got {k_max!r}")
+    k_max = _order(k_max, "k_max", 0)
     if isinstance(act, HermiteSeriesActivation):
         a = np.zeros(k_max + 1)
         kept = act.coefficients[:k_max + 1]
@@ -186,7 +185,7 @@ def activation_to_pgf(act: Activation, k_max: int = DEFAULT_K_MAX) -> np.ndarray
 
 
 def _series_bivariate(act: HermiteSeriesActivation, s: float) -> float:
-    t, w = gauss_hermite_rule(_QUAD_NODES)
+    t, w = gauss_hermite_rule(max(_QUAD_NODES, act.k_max + 1))
     if abs(s) == 1.0:
         return float(np.sum(w * act(t) * act(math.copysign(1.0, s) * t)))
     beta = math.sqrt(1.0 - s * s)
@@ -219,10 +218,12 @@ def bivariate_expectation(act: Activation, s: float) -> float:
 
     Computed by quadrature over the representation Z = s X + sqrt(1 - s^2) Y
     with Y independent of X: a tensor Gauss-Hermite rule for series forms,
-    and for reference forms the Y-integral done in closed form (conditional
-    mean of the positive part) followed by a smooth half-line rule.  Shares
-    no code with the series identity sum_k p_k s^k, which is what tests
-    compare it against.
+    with max(200, k_max + 1) nodes so it is exact for the product's degree
+    2 * k_max (NumericalInstability from k_max 370, where numpy's rule
+    fails), and for reference forms the Y-integral done in closed form
+    (conditional mean of the positive part) followed by a smooth half-line
+    rule.  Shares no code with the series identity sum_k p_k s^k, which is
+    what tests compare it against.
     """
     s = float(s)
     if not -1.0 <= s <= 1.0:

@@ -53,6 +53,7 @@ from .kernels import (
 )
 from .mlp import MlpConfig, convergence_study
 from .pgf import (
+    DEFAULT_SERIES_K,
     ThetaPgf,
     make_theta_pgf,
     pgf_iterate_closed,
@@ -261,7 +262,7 @@ def _theta_activation(f: ThetaPgf, k_max: int) -> Activation:
     return activation_from_coefficients(series.coefficients, eps_tail=series.eps_tail)
 
 
-def _k_max(args, cfg: _Config, default: int) -> int:
+def _k_max(args, cfg: _Config, default: int = DEFAULT_SERIES_K) -> int:
     return int(_pick(args.k_max, cfg, "activation", "k_max", default))
 
 
@@ -278,7 +279,7 @@ def _build_activation(args, cfg: _Config) -> Activation:
         name = _require(_pick(args.name, cfg, "activation", "name"), "--name")
         return reference_activation(name, getattr(args, "slope", None))
     if source == "theta":
-        return _theta_activation(_build_theta_pgf(args, cfg), _k_max(args, cfg, 64))
+        return _theta_activation(_build_theta_pgf(args, cfg), _k_max(args, cfg))
     raise ConfigError(f"unknown activation source {source!r}")
 
 
@@ -355,7 +356,7 @@ def _cmd_pgf_iterate(args, cfg: _Config) -> None:
 
 
 def _cmd_pgf_coeffs(args, cfg: _Config) -> None:
-    p = theta_coefficients(_build_theta_pgf(args, cfg), _k_max(args, cfg, 64))
+    p = theta_coefficients(_build_theta_pgf(args, cfg), _k_max(args, cfg))
     _write_table(_out_path(args, cfg), ["k", "p"], list(enumerate(p)))
 
 
@@ -375,7 +376,7 @@ def _cmd_activation_curve(args, cfg: _Config) -> None:
 
 
 def _cmd_activation_to_pgf(args, cfg: _Config) -> None:
-    p = activation_to_pgf(_build_activation(args, cfg), _k_max(args, cfg, 64))
+    p = activation_to_pgf(_build_activation(args, cfg), _k_max(args, cfg))
     _write_table(_out_path(args, cfg), ["k", "p"], list(enumerate(p)))
 
 
@@ -486,7 +487,7 @@ def _cmd_gp_predict(args, cfg: _Config) -> None:
 def _cmd_reproduce_fig1(args, cfg: _Config) -> None:
     params, name, slope = _FIG1_CASES[args.case]
     xs = np.linspace(-3.0, 3.0, 601)
-    theta_vals = _theta_activation(make_theta_pgf(**params), _k_max(args, cfg, 64))(xs)
+    theta_vals = _theta_activation(make_theta_pgf(**params), _k_max(args, cfg))(xs)
     ref_vals = reference_activation(name, slope)(xs)
     _write_table(_out_path(args, cfg), ["x", "theta_activation", "reference"],
                  list(zip(xs, theta_vals, ref_vals)))

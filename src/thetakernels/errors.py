@@ -9,6 +9,8 @@ code working.
 
 from __future__ import annotations
 
+import operator
+
 __all__ = [
     "ThetaKernelError",
     "RegimeViolation",
@@ -97,3 +99,14 @@ class FactorizationFailed(ThetaKernelError, ArithmeticError):
 
 class ConfigError(ThetaKernelError, ValueError):
     """An experiment configuration file failed schema validation."""
+
+
+def _order(value, name: str, minimum: int, error: type = DomainError) -> int:
+    """value as a Python int >= minimum; bools and non-integers raise ``error``."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = None
+    if isinstance(value, bool) or index is None or index < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return index

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalInstability
+from .errors import NumericalInstability, _order
 
 __all__ = [
     "hermite_design",
@@ -44,8 +44,7 @@ _HALF_RANGE_NODES = 240
 
 def hermite_design(k_max: int, x) -> np.ndarray:
     """Matrix H[k, i] = h_k(x_i) for k = 0 .. k_max, one recursion pass."""
-    if not (isinstance(k_max, int) and k_max >= 0):
-        raise ValueError(f"k_max must be an integer >= 0, got {k_max!r}")
+    k_max = _order(k_max, "k_max", 0)
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((k_max + 1, arr.size))
     out[0] = 1.0
@@ -81,24 +80,25 @@ def hermite_series(coefficients, x):
     return float(b1) if arr.ndim == 0 else b1
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def gauss_hermite_rule(num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss quadrature for E[g(X)], X ~ N(0, 1).
 
     Change of variables from the physicists' rule: points scale by sqrt(2),
     weights normalize by sqrt(pi).  Exact for polynomials of degree
-    2 * num_nodes - 1.  numpy's rule overflows from 372 nodes on, which
-    raises NumericalInstability rather than returning NaN weights.
+    2 * num_nodes - 1.  numpy's rule loses its weights from 371 nodes on
+    (all zero, then NaN), which raises NumericalInstability: the normalized
+    weights must be finite and sum to 1 within 1e-12.
     """
-    if not (isinstance(num_nodes, int) and num_nodes >= 1):
-        raise ValueError(f"num_nodes must be an integer >= 1, got {num_nodes!r}")
+    num_nodes = _order(num_nodes, "num_nodes", 1)
     with np.errstate(all="ignore"):
         points, weights = np.polynomial.hermite.hermgauss(num_nodes)
-    if not (np.all(np.isfinite(points)) and np.all(np.isfinite(weights))):
+    weights = weights / math.sqrt(math.pi)
+    if not (np.all(np.isfinite(points)) and abs(np.sum(weights) - 1.0) <= 1e-12):
         raise NumericalInstability(
             f"Gauss-Hermite rule with {num_nodes} nodes has non-finite nodes "
-            "or weights; use fewer nodes")
-    return points * math.sqrt(2.0), weights / math.sqrt(math.pi)
+            "or weights that do not sum to 1; use fewer nodes")
+    return points * math.sqrt(2.0), weights
 
 
 @lru_cache(maxsize=1)

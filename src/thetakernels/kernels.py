@@ -46,6 +46,7 @@ from .errors import (
     RegimeViolation,
     UnknownSumConvergence,
     ZeroVector,
+    _order,
 )
 from .pgf import (
     Pgf,
@@ -89,8 +90,7 @@ class PureKernel:
     depth: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.depth, int) and self.depth >= 1):
-            raise InvalidRegime(f"depth must be an integer >= 1, got {self.depth!r}")
+        object.__setattr__(self, "depth", _order(self.depth, "depth", 1, InvalidRegime))
 
 
 @dataclass(frozen=True)
@@ -364,8 +364,7 @@ def spec_to_pgf(spec: KernelSpec) -> Pgf:
 
 def surface_area(m: int) -> float:
     """Surface area of the unit sphere in R^m, 2 pi^(m/2) / Gamma(m/2)."""
-    if not (isinstance(m, int) and m >= 1):
-        raise DimensionUnsupported(f"dimension must be an integer >= 1, got {m!r}")
+    m = _order(m, "dimension", 1, DimensionUnsupported)
     return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
 
 
@@ -376,12 +375,8 @@ def multiplicity(m: int, k: int) -> int:
     (the constant harmonic; the printed formula has k in a denominator).
     Needs m >= 3; the binomial degenerates at m = 2, not supported.
     """
-    if not (isinstance(m, int) and m >= 3):
-        raise DimensionUnsupported(
-            f"multiplicities need integer dimension m >= 3, got {m!r}"
-            + (" (m = 2 unsupported: the binomial degenerates)" if m == 2 else ""))
-    if not (isinstance(k, int) and k >= 0):
-        raise ValueError(f"degree must be an integer >= 0, got {k!r}")
+    m = _order(m, "dimension m", 3, DimensionUnsupported)
+    k = _order(k, "degree", 0)
     if k == 0:
         return 1
     numerator = (2 * k + m - 2) * math.comb(k + m - 3, k - 1)
@@ -419,9 +414,9 @@ def eigensystem(spec: KernelSpec, m: int, k_max: int) -> Eigensystem:
     ``kernel_at_rho`` computes, so eigensystems stay available for series
     and mixed specs with no closed form, and at every depth.
     """
-    if not (isinstance(k_max, int) and k_max >= 0):
-        raise ValueError(f"k_max must be an integer >= 0, got {k_max!r}")
-    mults = [multiplicity(m, k) for k in range(k_max + 1)]    # validates m
+    k_max = _order(k_max, "k_max", 0)
+    m = _order(m, "dimension m", 3, DimensionUnsupported)
+    mults = [multiplicity(m, k) for k in range(k_max + 1)]
     p = series_coefficients(_kernel_evaluator(spec), k_max)
     surf = surface_area(m)
     lambdas = [surf * float(pk) / mult for pk, mult in zip(p, mults)]

@@ -25,11 +25,11 @@ what that regime asks of c and q.  In the two subcritical main regimes c is not
 free: c = (1 - a) * (r - q)**(-theta), which pins the fixed point f(q) = q.
 :func:`make_theta_pgf` accepts either q or c there and derives the other.
 
-Besides closed-form evaluation and iteration the module provides the series
-side of the picture: coefficients from the closed form (a binomial series,
-raised to the power -1/theta in the main branch by one power recurrence)
-and an independent coefficient oracle based on contour integration of the
-evaluated PGF.
+The regime alone selects the closed form that evaluation, iteration and the
+series coefficients use (a binomial series, raised to the power -1/theta in
+the main branch by one power recurrence); the subcritical main regimes take
+an expm1/log1p form that stays accurate as theta -> 0.  An independent
+coefficient oracle integrates the evaluated PGF over a contour.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .errors import (
     InvalidCoefficients,
     NumericalInstability,
     RegimeViolation,
+    _order,
 )
 
 __all__ = [
@@ -68,11 +69,6 @@ __all__ = [
 
 #: Tolerance for a caller-supplied c against the derived value in sub regimes.
 DERIVED_C_TOL = 1e-12
-
-#: Below this |theta| the main closed form switches to the theta = 0 form to
-#: avoid the catastrophic (.)**(-1/theta) exponent.  Only reachable in the
-#: subcritical regimes, where (a, q, r) determine the theta = 0 limit.
-THETA_ZERO_SWITCH = 1e-8
 
 #: Default truncation order for series conversions.
 DEFAULT_SERIES_K = 64
@@ -117,6 +113,7 @@ def _infer_regime(theta: float, a: float, r: float) -> Regime:
     """
     for name, value in (("theta", theta), ("a", a), ("r", r)):
         _check(_finite(value), f"{name} must be a finite number, got {value!r}")
+    _check(not 0.0 < abs(theta) < np.finfo(float).tiny, f"theta = {theta!r} is subnormal")
     sub = 0.0 < a < 1.0
     if theta == -1.0 and sub and r == 1.0:
         return Regime.MINUS_ONE
@@ -213,54 +210,58 @@ def make_theta_pgf(theta: float, a: float, c: float | None = None,
 def _iterated(p: ThetaParams, n: int) -> tuple[float, float]:
     """Parameters of the n-fold iterate in log form: (log a_n, b_n).
 
-    In the main branch composition acts on (r - s)**(-theta) affinely,
-
-        (r - f_n(s))**(-theta) = a_n * (r - s)**(-theta) + c_n,
-
-    with a_n = a**n and c_n = c * (a**n - 1) / (a - 1), or n * c at a = 1.
-    b_n is c_n / max(a_n, 1), finite at every depth: for a > 1 the factor
-    a_n is pulled out of the bracket.  In the subcritical regimes c is
-    pinned by q, c_n = (1 - a_n) * (r - q)**(-theta), and a_n may underflow
-    to 0, where the expression lands on its limit.  The zero and minus-one
-    branches only map a -> a**n, and their b_n is 0.
+    In the main branch (r - f_n(s))**(-theta) = a_n * (r - s)**(-theta) + c_n
+    with a_n = a**n.  In MAIN_SUPER c_n = c * (a**n - 1) / (a - 1), or n * c
+    at a = 1, and b_n = c_n / a_n stays finite at every depth.  Every other
+    regime maps only a -> a**n (a subcritical c_n is pinned by q); its b_n is 0.
     """
     log_an = n * math.log(p.a)
-    if p.c is None:
+    if p.regime is not Regime.MAIN_SUPER:
         return log_an, 0.0
-    if p.regime.is_sub():
-        return log_an, -math.expm1(log_an) * (p.r - p.q) ** (-p.theta)
     if log_an == 0.0:
         return 0.0, n * p.c
     return log_an, p.c * -math.expm1(-log_an) / (p.a - 1.0)
 
 
-def _uses_zero_form(p: ThetaParams) -> bool:
-    """Whether the theta = 0 closed form stands for p (see THETA_ZERO_SWITCH)."""
-    return p.regime.is_zero() or (p.regime.is_sub() and abs(p.theta) < THETA_ZERO_SWITCH)
+def _pinned_power(p: ThetaParams, log_an: float, z) -> np.ndarray:
+    """(a_n * (r - z)**(-theta) + c_n)**(-1/theta), c_n pinned by q, as a 1-d array.
+
+    The bracket is 1 + x, x = a_n * expm1(-theta * log(r - z)) + (1 - a_n) *
+    expm1(-theta * log(r - q)), and exp(-log1p(x) / theta) stays accurate as
+    theta -> 0.  Complex log1p is 2 * atanh(x / (2 + x)): numpy's is log(1 + x).
+    """
+    x = np.expm1(np.log(np.atleast_1d(p.r - z)) * -p.theta)
+    x *= math.exp(log_an)
+    x -= math.expm1(log_an) * math.expm1(-p.theta * math.log(p.r - p.q))
+    x = 2.0 * np.arctanh(x / (x + 2.0)) if np.iscomplexobj(x) else np.log1p(x, out=x)
+    return np.exp(np.multiply(x, -1.0 / p.theta, out=x), out=x)
 
 
 def _iterate_eval(p: ThetaParams, n: int, z):
     """The n-fold iterate f_n at z (real or complex, scalar or array).
 
-    No domain checking: kernels evaluate at correlations in [-1, 1] and the
-    contour oracle on circles |z| < 1.  Where the main closed form passes
-    through (1 - z)**(-theta) (theta > 0, r = 1) real z = 1 is assigned the
-    analytic value 1, since float evaluation there can produce inf * 0.
+    The regime alone picks the form.  No domain checking: kernels evaluate
+    at correlations in [-1, 1] and the contour oracle on circles |z| < 1.
+    Where the main closed form passes through (1 - z)**(-theta) (theta > 0,
+    r = 1) real z = 1 is assigned the analytic value 1, since float
+    evaluation there can produce inf * 0.
     """
     arr = np.asarray(z)
     theta, q, r = p.theta, p.q, p.r
     log_an, b_n = _iterated(p, n)
     a_n = math.exp(min(log_an, 0.0))    # 1 for a > 1, where a_n is pulled out
-    if p.regime is Regime.MINUS_ONE:
-        out = a_n * arr + (1.0 - a_n) * q
-    elif _uses_zero_form(p):
-        out = r - (r - q) ** (1.0 - a_n) * np.power(r - arr, a_n)
-    else:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if p.regime is Regime.MINUS_ONE:
+            out = a_n * arr + (1.0 - a_n) * q
+        elif p.regime.is_zero():
+            out = r - (r - q) ** (1.0 - a_n) * np.power(r - arr, a_n)
+        elif p.regime.is_sub():
+            out = r - _pinned_power(p, log_an, arr).reshape(arr.shape)
+        else:
             bracket = a_n * np.power(r - arr, -theta) + b_n
-            out = r - math.exp(-max(log_an, 0.0) / theta) * np.power(bracket, -1.0 / theta)
-        if theta > 0.0 and r == 1.0 and not np.iscomplexobj(arr):
-            out = np.where(arr >= 1.0, 1.0, out)
+            out = r - math.exp(-log_an / theta) * np.power(bracket, -1.0 / theta)
+    if theta > 0.0 and r == 1.0 and not np.iscomplexobj(arr):
+        out = np.where(arr >= 1.0, 1.0, out)
     if arr.ndim == 0:
         return complex(out) if np.iscomplexobj(out) else float(out)
     return out
@@ -384,28 +385,26 @@ def pgf_iterate_closed(f: ThetaPgf, n: int) -> ThetaPgf:
 
     Composition acts on parameters as a -> a**n with c accumulating the
     geometric sum c * (1 + a + ... + a**(n-1)) in the main branch; in the
-    subcritical regimes this preserves the derived-c relation, so only a
-    changes.  The zero and minus-one branches also map a -> a**n.  Raises
+    subcritical regimes this preserves the derived-c relation, and c_n is
+    taken from ``derived_c``, the value ThetaParams checks it against.  The
+    zero and minus-one branches also map a -> a**n.  Raises
     NumericalInstability when the iterated parameters leave the float range;
     the kernel operations still evaluate such depths.
     """
     if not isinstance(f, ThetaPgf):
         raise TypeError("closed-form iteration needs a theta-form PGF")
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError(f"iteration depth must be an integer >= 1, got {n!r}")
+    n = _order(n, "iteration depth", 1)
     if n == 1:
         return f
     p = f.params
     log_an, b_n = _iterated(p, n)
     with np.errstate(over="ignore"):
         a_n = float(np.exp(log_an))
-    c_n = b_n * max(a_n, 1.0)
+    c_n = derived_c(p.theta, a_n, p.q, p.r) if p.regime.is_sub() else b_n * a_n
     if not (0.0 < a_n < math.inf and math.isfinite(c_n)):
         raise NumericalInstability(
             f"iterated parameters leave the float range for a = {p.a}, n = {n}; "
             "use the kernel operations for deep or asymptotic values")
-    if p.regime.is_sub():       # exactly the value ThetaParams checks c against
-        c_n = derived_c(p.theta, a_n, p.q, p.r)
     return ThetaPgf(ThetaParams(p.theta, a_n, None if p.c is None else c_n, p.q, p.r))
 
 
@@ -419,8 +418,8 @@ def _binomial_series(e: float, r: float, k_max: int) -> np.ndarray:
     return np.cumprod(np.concatenate(([1.0], (ks - 1.0 - e) / (ks * r))))
 
 
-def _power_series(A: np.ndarray, alpha: float) -> np.ndarray:
-    """Coefficients of A(s)**alpha for a series A with A[0] > 0.
+def _power_series(A: np.ndarray, alpha: float, g0: float) -> np.ndarray:
+    """Coefficients of A(s)**alpha (A[0] > 0) from the seed g0 = A[0]**alpha.
 
     J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, section 4.7), from
     g' * A = alpha * A' * g:
@@ -428,7 +427,7 @@ def _power_series(A: np.ndarray, alpha: float) -> np.ndarray:
         k * A[0] * g[k] = sum_{j=1}^{k} ((alpha + 1) * j - k) * A[j] * g[k-j].
     """
     g = np.empty_like(A)
-    g[0] = A[0] ** alpha
+    g[0] = g0
     jA = np.arange(len(A)) * A
     for k in range(1, len(A)):
         tail = g[k - 1::-1]
@@ -444,19 +443,21 @@ def theta_coefficients(params: ThetaParams | ThetaPgf, k_max: int) -> np.ndarray
     (r - q)**(1 - a) * r**a * (1 - s/r)**a, a binomial series.  In the main
     form g = A**(-1/theta) with A = a * r**(-theta) * (1 - s/r)**(-theta) + c,
     expanded by one power recurrence, which stays finite and accurate at
-    every order.  Tiny negative rounding residues are clamped to zero.
+    every order (subcritical seeds g_0 come from ``_pinned_power``).  Tiny
+    negative rounding residues are clamped to zero.
     """
     p = params.params if isinstance(params, ThetaPgf) else params
-    if not (isinstance(k_max, int) and k_max >= 0):
-        raise ValueError(f"k_max must be an integer >= 0, got {k_max!r}")
+    k_max = _order(k_max, "k_max", 0)
     if p.regime is Regime.MINUS_ONE:        # f = a * s + (1 - a) * q
         return np.array([(1.0 - p.a) * p.q, p.a] + [0.0] * (k_max - 1))[:k_max + 1]
-    if _uses_zero_form(p):
+    if p.regime.is_zero():
         g = (p.r - p.q) ** (1.0 - p.a) * p.r ** p.a * _binomial_series(p.a, p.r, k_max)
     else:
         A = p.a * p.r ** -p.theta * _binomial_series(-p.theta, p.r, k_max)
         A[0] += p.c
-        g = _power_series(A, -1.0 / p.theta)
+        g0 = (_pinned_power(p, math.log(p.a), 0.0)[0] if p.regime.is_sub()
+              else A[0] ** (-1.0 / p.theta))
+        g = _power_series(A, -1.0 / p.theta, g0)
     out = -g
     out[0] = p.r - g[0]
     return np.maximum(out, 0.0)
@@ -497,8 +498,7 @@ def series_coefficients(f: Pgf | Callable, k_max: int,
         NumericalInstability: if an extracted coefficient is below -1e-8,
             which signals a misconfigured radius or node count.
     """
-    if not (isinstance(k_max, int) and k_max >= 0):
-        raise ValueError(f"k_max must be an integer >= 0, got {k_max!r}")
+    k_max = _order(k_max, "k_max", 0)
     if radius is None:
         radius = _extraction_radius(k_max)
     if not 0.0 < radius < 1.0:

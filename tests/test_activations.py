@@ -19,6 +19,7 @@ from thetakernels.errors import (
     DomainError,
     InvalidCoefficients,
     NotSquareIntegrableWithinBudget,
+    NumericalInstability,
 )
 from thetakernels.hermite import half_gaussian_rule, hermite_design
 from thetakernels.pgf import make_theta_pgf, theta_coefficients
@@ -236,6 +237,23 @@ class TestBivariate:
         alternating = 0.2 - 0.5 + 0.3
         assert bivariate_expectation(act, 1.0) == pytest.approx(total, abs=1e-12)
         assert bivariate_expectation(act, -1.0) == pytest.approx(alternating, abs=1e-12)
+
+    @pytest.mark.parametrize("theta", [-0.5, 0.5])
+    @pytest.mark.parametrize("k_max", [250, 300, 369])
+    def test_series_exact_at_high_order(self, theta, k_max):
+        # phi(x) phi(z) has degree 2 * k_max; a fixed 200-node rule was off
+        # by -2.1e-3 at s = 1 for theta -0.5, k_max 250
+        p = theta_coefficients(make_theta_pgf(theta=theta, a=0.5, q=0.3), k_max)
+        act = activation_from_coefficients(p)
+        for s in (1.0, 0.9, -0.7):
+            series_sum = float(np.polyval(p[::-1], s))
+            assert bivariate_expectation(act, s) == pytest.approx(series_sum, abs=1e-13)
+
+    def test_series_beyond_hermite_rule_raises(self):
+        # k_max 370 needs 371 nodes, where numpy's weights are all zero
+        p = theta_coefficients(make_theta_pgf(theta=-0.5, a=0.5, q=0.3), 370)
+        with pytest.raises(NumericalInstability):
+            bivariate_expectation(activation_from_coefficients(p), 0.5)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -126,11 +126,14 @@ class TestGaussHermiteRule:
             gauss_hermite_rule(0)
 
     def test_overflowing_rule_raises(self):
-        # numpy's physicists' rule overflows to NaN weights from 372 nodes on
-        with pytest.raises(NumericalInstability):
-            gauss_hermite_rule(400)
-        points, weights = gauss_hermite_rule(371)
+        # numpy's physicists' rule underflows to all-zero weights at 371 nodes
+        # and overflows to NaN weights from 372 nodes on
+        for num_nodes in (371, 372, 400):
+            with pytest.raises(NumericalInstability):
+                gauss_hermite_rule(num_nodes)
+        points, weights = gauss_hermite_rule(370)
         assert np.all(np.isfinite(points)) and np.all(np.isfinite(weights))
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestHalfGaussianRule:

@@ -9,11 +9,22 @@ from hypothesis import strategies as st
 
 from thetakernels.errors import (
     DerivedCMismatch,
+    DimensionUnsupported,
     DomainError,
     EmptySequence,
     InvalidCoefficients,
+    InvalidRegime,
     NumericalInstability,
     RegimeViolation,
+)
+from thetakernels.activations import activation_to_pgf, reference_activation
+from thetakernels.hermite import gauss_hermite_rule, hermite_design
+from thetakernels.kernels import (
+    PureKernel,
+    _kernel_evaluator,
+    eigensystem,
+    kernel_at_rho,
+    multiplicity,
 )
 from thetakernels.pgf import (
     ComposedPgf,
@@ -80,6 +91,8 @@ class TestRegimeValidation:
         dict(theta=0.5, a=0.5, q=1.5),            # q above 1, checked before c is derived
         dict(theta=-0.5, a=0.5, q=2.5, r=2.0),    # q above 1 with r > 1
         dict(theta=-0.01, a=0.5, c=1e10),         # q derived from c overflows to -inf
+        dict(theta=5e-324, a=0.5, q=0.3),         # subnormal theta
+        dict(theta=-1e-310, a=0.5, q=0.3, r=2.0),  # subnormal theta with r > 1
     ])
     def test_inadmissible_parameters(self, kwargs):
         with pytest.raises(RegimeViolation):
@@ -449,3 +462,118 @@ class TestSeriesPgf:
             value = s.eval_extended(complex(w))
             assert type(value) is complex
             assert abs(value - np.polynomial.polynomial.polyval(complex(w), coeffs)) <= 1e-15
+
+
+def _mp_pinned(mpmath, theta, a_n, q, r, rho, z, k_max):
+    """f_n = r - (a_n (r - s)**(-theta) + c_n)**(-1/theta) in the working
+    precision, with c_n = (1 - a_n) (r - q)**(-theta) pinned by q: values at
+    real rho and complex z, and Taylor coefficients p_0 .. p_k_max from the
+    power recurrence g' A = alpha A' g for g = A**alpha, alpha = -1/theta,
+    which is exact algebra, so only its rounding is at stake.
+    """
+    t, a_n, q, r = (mpmath.mpf(v) for v in (theta, a_n, q, r))
+    c_n = (1 - a_n) * (r - q) ** (-t)
+
+    def value(s):
+        u = r - s
+        if u == 0 and t > 0:
+            return r
+        return r - (a_n * u ** (-t) + c_n) ** (-1 / t)
+
+    real = np.array([float(value(mpmath.mpf(v))) for v in rho])
+    cplx = np.array([complex(value(mpmath.mpc(v.real, v.imag))) for v in z])
+    A = [a_n * r ** (-t)]
+    for j in range(1, k_max + 1):
+        A.append(A[-1] * (j - 1 + t) / (j * r))
+    A[0] += c_n
+    alpha = -1 / t
+    g = [A[0] ** alpha]
+    for k in range(1, k_max + 1):
+        g.append(mpmath.fsum(((alpha + 1) * j - k) * A[j] * g[k - j]
+                             for j in range(1, k + 1)) / (k * A[0]))
+    coeffs = np.array([float(r - g[0])] + [float(-v) for v in g[1:]])
+    return real, cplx, coeffs
+
+
+class TestPinnedNearZeroTheta:
+    """Subcritical PGFs, whose c is pinned by q, stay accurate as theta -> 0.
+
+    The form (.)**(-1/theta) amplifies rounding by 1/theta; a switch to the
+    theta = 0 form below |theta| 1e-8 erred by O(theta) below it and by up to
+    6e-8 just above it, and by 0.7 at rho = 1 for theta < 0 at depth 50.
+    """
+
+    @pytest.mark.parametrize("theta", [sign * mag for mag in
+                                       (1e-12, 9.9e-9, 1.01e-8, 1e-6, 1e-4, 1e-2, 0.5)
+                                       for sign in (1.0, -1.0)])
+    @pytest.mark.parametrize("r", [1.0, 2.5])
+    def test_against_mpmath(self, theta, r):
+        mpmath = pytest.importorskip("mpmath")
+        f = make_theta_pgf(theta=theta, a=0.5, q=0.3, r=r)
+        rho = np.linspace(-1.0, 1.0, 41)
+        z = 0.9 * np.exp(2j * np.pi * np.arange(16) / 16)
+        for depth in (1, 3, 50):
+            spec = PureKernel(f, depth)
+            # more than log10(1/|theta|) + 20 digits
+            with mpmath.workdps(60):
+                real, cplx, coeffs = _mp_pinned(mpmath, theta, 0.5 ** depth, 0.3, r,
+                                                rho, z, 64)
+            assert np.max(np.abs(kernel_at_rho(spec, rho) - real)) <= 1e-14
+            assert np.max(np.abs(_kernel_evaluator(spec)(z) - cplx)) <= 1e-14
+            p = theta_coefficients(pgf_iterate_closed(f, depth), 64)
+            assert np.max(np.abs(p - coeffs)) <= 1e-14
+
+    @given(log_theta=st.floats(-15.0, -3.0), sign=st.sampled_from([1.0, -1.0]),
+           a=st.floats(0.05, 0.95), q=st.floats(0.0, 0.95),
+           r=st.one_of(st.just(1.0), st.floats(1.0, 5.0, exclude_min=True)),
+           depth=st.integers(1, 5))
+    def test_continuous_across_zero(self, log_theta, sign, a, q, r, depth):
+        # Differences from the theta = 0 PGF stay within C |theta| (about 6
+        # |theta| at worst over a grid of a, q, r and depth).  rho = 1 is left
+        # out: at r = 1 and theta < 0 the kernel there is
+        # 1 - (r - q) (1 - a_n)**(1/|theta|), which nears 1 only once
+        # |theta| << a_n.
+        theta = sign * 10.0 ** log_theta
+        f = make_theta_pgf(theta=theta, a=a, q=q, r=r)
+        f0 = make_theta_pgf(theta=0.0, a=a, q=q, r=r)
+        rho = np.append(np.linspace(-1.0, 1.0, 41)[:-1], 1.0 - 1e-12)
+        bound = 50.0 * abs(theta)
+        values = kernel_at_rho(PureKernel(f, depth), rho)
+        assert np.max(np.abs(values - kernel_at_rho(PureKernel(f0, depth), rho))) <= bound
+        coeffs = theta_coefficients(pgf_iterate_closed(f, depth), 32)
+        zero = theta_coefficients(pgf_iterate_closed(f0, depth), 32)
+        assert np.max(np.abs(coeffs - zero)) <= bound
+
+
+@pytest.mark.parametrize("call, order, error", [
+    pytest.param(lambda k: hermite_design(k, [0.3, -1.2]), 4, DomainError,
+                 id="hermite_design"),
+    pytest.param(gauss_hermite_rule, 5, DomainError, id="gauss_hermite_rule"),
+    pytest.param(lambda k: activation_to_pgf(reference_activation("relu"), k), 6,
+                 DomainError, id="activation_to_pgf"),
+    pytest.param(lambda k: theta_coefficients(make_theta_pgf(theta=0.5, a=0.5, q=0.3), k),
+                 4, DomainError, id="theta_coefficients"),
+    pytest.param(lambda k: series_coefficients(make_theta_pgf(theta=0.5, a=0.5, q=0.3), k),
+                 4, DomainError, id="series_coefficients"),
+    pytest.param(lambda k: pgf_iterate_closed(make_theta_pgf(theta=0.5, a=1.5, c=0.3), k),
+                 2, DomainError, id="pgf_iterate_closed"),
+    pytest.param(lambda k: PureKernel(make_theta_pgf(theta=0.5, a=1.5, c=0.3), k), 2,
+                 InvalidRegime, id="PureKernel"),
+    pytest.param(lambda k: multiplicity(k, 3), 4, DimensionUnsupported, id="multiplicity_m"),
+    pytest.param(lambda k: multiplicity(5, k), 3, DomainError, id="multiplicity_k"),
+    pytest.param(lambda k: eigensystem(PureKernel(make_theta_pgf(theta=1.0, a=1.0, c=1.0), 2),
+                                       3, k), 4, DomainError, id="eigensystem"),
+])
+def test_orders_take_numpy_integers_and_refuse_bools(call, order, error):
+    expected = call(order)
+    got = call(np.int64(order))
+    if isinstance(expected, tuple):         # gauss_hermite_rule's (points, weights)
+        assert all(np.array_equal(x, y) for x, y in zip(got, expected))
+    elif isinstance(expected, np.ndarray):
+        assert np.array_equal(got, expected)
+    else:                                   # frozen dataclasses compare by fields
+        assert got == expected
+    if isinstance(expected, PureKernel):    # depth is written to JSON
+        assert type(got.depth) is int
+    with pytest.raises(error):
+        call(True)
