@@ -101,12 +101,15 @@ class ConfigError(ThetaKernelError, ValueError):
     """An experiment configuration file failed schema validation."""
 
 
-def _order(value, name: str, minimum: int, error: type = DomainError) -> int:
-    """value as a Python int >= minimum; bools and non-integers raise ``error``."""
+def _order(value, name: str, minimum: int | None, error: type = DomainError) -> int:
+    """value as a Python int, >= minimum unless that is None; bools and
+    non-integers raise ``error``."""
     try:
         index = operator.index(value)
     except TypeError:
         index = None
-    if isinstance(value, bool) or index is None or index < minimum:
-        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if (isinstance(value, bool) or index is None
+            or (minimum is not None and index < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise error(f"{name} must be an integer{bound}, got {value!r}")
     return index

@@ -225,7 +225,8 @@ def cmixed_pure_representation(theta: float, c_sequence: Sequence[float],
     (c_1 + ... + c_k) / k.
     """
     spec = CMixedKernel(theta, tuple(c_sequence))   # validates theta and c
-    if not (isinstance(k, int) and 1 <= k <= len(spec.c_sequence)):
+    k = _order(k, "k", 1, IndexOutOfRange)
+    if k > len(spec.c_sequence):
         raise IndexOutOfRange(
             f"k must lie in 1 .. {len(spec.c_sequence)}, got {k!r}")
     c_bar = math.fsum(spec.c_sequence[:k]) / k

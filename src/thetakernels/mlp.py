@@ -23,13 +23,26 @@ shared Gaussian weight matrix are exactly jointly Gaussian with per-row
 covariance [[1, rho], [rho, 1]], so each layer forms the correlated pair
 directly from standard normals.  This is equal in law to the literal forward
 pass (which ``sample_mlp_output`` still performs) and cuts the per-sample
-cost from width^2 to width draws.  A chunk of m samples draws one
-(m, width, 2) normal block per layer and runs the activation, row norms, row
-dot products and the clip of rho on (m, width) arrays, with rho a length-m
-vector.  The block, the two activated arrays and the next layer's block
-and temporaries peak at about 7 * 256 * width doubles per thread (15 MB at
-width 1024 for a rectifier).  A HermiteSeriesActivation adds three
-(m, width) arrays for its Clenshaw recurrence (6.3 MB at width 1024).
+cost from width^2 to width draws.
+
+Nor does it draw the output layer.  That layer is affine, so given the last
+hidden layer, E[output(x) . output(z) / h_{n+1}] is exactly rho_n, the
+correlation of the two normalized last-layer activations; each sample
+records rho_n (Rao-Blackwellization: Robert and Casella, "Monte Carlo
+Statistical Methods", 2004).  The expectation is unchanged, the output
+width no longer enters, and the per-sample variance drops from about
+(1 + rho_n^2) / h_{n+1} (the output draw's noise) to the O(1/width) spread
+of rho_n itself.  For a depth-2 rectifier with output width 1 the standard
+error falls 10x to 70x at hidden widths 64 to 4096, enough to resolve the
+O(1/width) gap to the limit kernel.
+
+A chunk of m samples draws one (m, width, 2) normal block per hidden layer
+and runs the activation, row norms, row dot products and the clip of rho on
+(m, width) arrays, with rho a length-m vector.  The block, the two activated
+arrays and the next layer's block and temporaries peak at about
+7 * 256 * width doubles per thread (15 MB at width 1024 for a rectifier).
+A HermiteSeriesActivation adds three (m, width) arrays for its Clenshaw
+recurrence (6.3 MB at width 1024).
 """
 
 from __future__ import annotations
@@ -48,6 +61,7 @@ from .errors import (
     DomainError,
     ZeroNormLayer,
     ZeroVector,
+    _order,
 )
 from .kernels import MixedKernel, _unit, correlation, kernel_at_rho
 from .pgf import SeriesPgf
@@ -79,8 +93,8 @@ class MlpConfig:
         if len(self.widths) < 3:
             raise DomainError(
                 f"need widths h_0 .. h_{{n+1}} with n >= 1, got {self.widths}")
-        if not all(isinstance(h, int) and h >= 1 for h in self.widths):
-            raise DomainError(f"widths must be positive integers, got {self.widths}")
+        object.__setattr__(self, "widths", tuple(
+            _order(h, f"width h_{k}", 1) for k, h in enumerate(self.widths)))
         if isinstance(self.activations, tuple):
             if len(self.activations) != self.num_layers:
                 raise DomainError(
@@ -92,8 +106,7 @@ class MlpConfig:
             if not isinstance(act, get_args(Activation)):
                 raise DomainError("activations must be HermiteSeriesActivation or "
                                   f"ReferenceActivation, got {act!r}")
-        if not isinstance(self.seed, int):
-            raise DomainError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", _order(self.seed, "seed", None))
 
     @property
     def num_layers(self) -> int:
@@ -114,6 +127,10 @@ class MlpConfig:
 
 @dataclass(frozen=True)
 class KernelEstimate:
+    """Mean of the per-sample last-hidden-layer correlations rho_n, with its
+    standard error; ``width_profile`` includes the output width, which does
+    not change the estimate."""
+
     value: float
     standard_error: float
     num_samples: int
@@ -180,23 +197,20 @@ def sample_mlp_output(config: MlpConfig, input: Sequence[float],
 
 def _pair_samples(config: MlpConfig, rho0: float, chunk: int,
                   out: np.ndarray) -> None:
-    """Fill chunk ``chunk`` of ``out`` with per-sample coordinate-averaged
-    output products."""
+    """Fill chunk ``chunk`` of ``out`` with each sample's last-hidden-layer
+    correlation rho_n, the output products' conditional mean."""
     n = config.num_layers
     widths = config.widths
     lo = chunk * _CHUNK
     hi = min(lo + _CHUNK, len(out))
     rho = np.full(hi - lo, rho0)
-    for layer in range(n + 1):
+    for layer in range(n):
         gen = _layer_generator(config.seed, chunk, layer)
         block = gen.standard_normal((hi - lo, widths[layer + 1], 2))
         u = block[:, :, 0]
         v = block[:, :, 1]
         v *= np.sqrt(1.0 - rho * rho)[:, None]
         v += rho[:, None] * u
-        if layer == n:
-            out[lo:hi] = np.einsum("ij,ij->i", u, v) / widths[layer + 1]
-            return
         act = config.activation_at(layer)
         a, b = act(u), act(v)
         na = np.sqrt(np.einsum("ij,ij->i", a, a))
@@ -206,6 +220,7 @@ def _pair_samples(config: MlpConfig, rho0: float, chunk: int,
             raise ZeroNormLayer(f"layer {layer + 1} output has zero norm at sample "
                                 f"{lo + int(np.argmax(dead))}")
         rho = np.clip(np.einsum("ij,ij->i", a, b) / (na * nb), -1.0, 1.0)
+    out[lo:hi] = rho
 
 
 def worker_count() -> int:
@@ -231,16 +246,19 @@ def empirical_kernel(config: MlpConfig, x: Sequence[float], z: Sequence[float],
                      num_samples: int) -> KernelEstimate:
     """Monte Carlo estimate of E[output(x) . output(z) / h_{n+1}].
 
-    Averages over weight draws and output coordinates; the standard error
-    comes from the per-draw coordinate-averaged products.  Samples
+    Each sample draws the hidden layers only and contributes rho_n, the
+    correlation of its last hidden layer, which is the output products'
+    exact conditional mean given that layer; value and standard error are
+    the mean and standard error of the rho_n.  The output width h_{n+1}
+    does not enter, and the standard error is O(1/sqrt(width)) times that
+    of averaging sampled output products.  Samples
     256c .. 256c + 255 form chunk c, whose layer k always consumes substream
     (seed, c, k), and samples are written into a fixed slot ordering, so the
     result is bitwise identical for any thread count.  A dead layer (all
     activations zero) raises ZeroNormLayer naming the first dead sample of
     the lowest chunk that has one.
     """
-    if not (isinstance(num_samples, int) and num_samples >= 100):
-        raise DomainError(f"num_samples must be an integer >= 100, got {num_samples!r}")
+    num_samples = _order(num_samples, "num_samples", 100)
     xv = np.asarray(x, dtype=float)
     zv = np.asarray(z, dtype=float)
     if xv.shape != (config.widths[0],) or zv.shape != (config.widths[0],):
@@ -294,11 +312,9 @@ def convergence_study(base: MlpConfig, widths: Sequence[int],
     Each width w replaces every hidden width h_1 .. h_n of ``base``; input
     and output widths stay.  Rows are ordered by width.
     """
-    widths = list(widths)
+    widths = [_order(w, "width", 1) for w in widths]
     if not widths or any(b <= a for a, b in zip(widths, widths[1:])):
         raise DomainError(f"widths must be strictly increasing, got {widths}")
-    if not all(isinstance(w, int) and w >= 1 for w in widths):
-        raise DomainError(f"widths must be positive integers, got {widths}")
     rho0 = correlation(np.asarray(x, dtype=float), np.asarray(z, dtype=float))
     reference = reference_kernel_value(base, rho0)
     rows = []

@@ -11,7 +11,14 @@ from thetakernels.activations import (
     activation_from_coefficients,
     reference_activation,
 )
-from thetakernels.errors import DimensionMismatch, DomainError, ZeroNormLayer, ZeroVector
+from thetakernels.errors import (
+    DimensionMismatch,
+    DomainError,
+    ThetaKernelError,
+    ZeroNormLayer,
+    ZeroVector,
+)
+from thetakernels.kernels import cmixed_pure_representation
 from thetakernels.mlp import (
     KernelEstimate,
     MlpConfig,
@@ -64,6 +71,28 @@ class TestConfig:
             MlpConfig(widths=(2, 256, 1), activations=half, seed=0)
         with pytest.raises(DomainError):
             MlpConfig(widths=(2, 8, 8, 1), activations=(RELU, half), seed=0)
+
+
+# Each call builds its integer argument with ``as_int``.
+INTEGER_SITES = {
+    "hidden width": lambda as_int: MlpConfig((2, as_int(16), 1), RELU, seed=0),
+    "seed": lambda as_int: MlpConfig((2, 16, 1), RELU, seed=as_int(-7)),
+    "num_samples": lambda as_int: empirical_kernel(
+        MlpConfig((2, 16, 1), RELU, seed=3), [1.0, 0.0], [0.0, 1.0], as_int(150)),
+    "study width": lambda as_int: convergence_study(
+        MlpConfig((2, 8, 1), RELU, seed=3), [as_int(16)], [1.0, 0.0], [0.0, 1.0], 150),
+    "cmixed k": lambda as_int: cmixed_pure_representation(0.5, (0.2, 0.6), as_int(2)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+def test_integer_arguments(site):
+    """numpy integers act as the equal Python int (numpy 2 reprs show their
+    type, so an unconverted one would differ), and bools are refused."""
+    call = INTEGER_SITES[site]
+    assert repr(call(np.int64)) == repr(call(int))
+    with pytest.raises(ThetaKernelError):
+        call(lambda value: True)
 
 
 class TestSampleOutput:
@@ -226,6 +255,29 @@ class TestEmpiricalKernel:
                                [rho, math.sqrt(1.0 - rho * rho)], 2000)
         assert abs(est.value - rho) <= 4.0 * est.standard_error
 
+    def test_output_width_does_not_enter(self):
+        # no output layer is drawn: each sample is the last hidden layer's rho_n
+        x, z = [1.0, 0.0], [0.5, math.sqrt(0.75)]
+        one, five = (empirical_kernel(MlpConfig((2, 32, 32, h), RELU, seed=12),
+                                      x, z, 600) for h in (1, 5))
+        assert one.value == five.value
+        assert one.standard_error == five.standard_error
+
+    def test_equal_inputs_have_no_sampling_noise(self):
+        # rho_n is 1 for every draw when x = z, where sampled output products
+        # would still scatter with an O(1 / sqrt(n)) standard error
+        config = MlpConfig(widths=(3, 64, 64, 1), activations=RELU, seed=8)
+        est = empirical_kernel(config, [1.0, -2.0, 0.5], [1.0, -2.0, 0.5], 600)
+        assert abs(est.value - 1.0) < 1e-12
+        assert est.standard_error < 1e-12
+
+    def test_per_sample_spread_is_finite_width_only(self):
+        # SE * sqrt(n) is about 0.04 here; averaging sampled output products
+        # gives about 1.2, the output draw's own noise
+        config = MlpConfig(widths=(2, 256, 256, 1), activations=RELU, seed=31)
+        est = empirical_kernel(config, [1.0, 0.0], [0.0, 1.0], 1000)
+        assert est.standard_error * math.sqrt(est.num_samples) < 0.1
+
     def test_error_bar_shrinks_with_samples(self):
         config = MlpConfig(widths=(2, 64, 1), activations=RELU, seed=29)
         x, z = [1.0, 0.0], [0.0, 1.0]
@@ -290,6 +342,19 @@ class TestConvergenceStudy:
             MlpConfig(widths=(2, 16, 16, 1), activations=RELU, seed=41),
             [1.0, 0.0], [0.0, 1.0], 150)
         assert rows[0].estimate == direct.value
+
+    def test_resolves_finite_width_bias(self):
+        """The gap to the limit kernel is O(1/w): depth-2 relu at rho 0.9
+        gives gap * w of about -0.22, which at 4000 samples lies more than
+        5 SE below zero at w 64 and agrees across w 64 and 256."""
+        rho = 0.9
+        base = MlpConfig(widths=(2, 8, 8, 1), activations=RELU, seed=2024)
+        narrow, wide = convergence_study(base, [64, 256], [1.0, 0.0],
+                                         [rho, math.sqrt(1.0 - rho * rho)], 4000)
+        assert narrow.gap < -3.0 * narrow.se
+        scaled_gap = [row.gap * row.width for row in (narrow, wide)]
+        scaled_se = math.hypot(narrow.se * narrow.width, wide.se * wide.width)
+        assert abs(scaled_gap[0] - scaled_gap[1]) < 3.0 * scaled_se, (scaled_gap, scaled_se)
 
     def test_width_ordering_enforced(self):
         base = MlpConfig(widths=(2, 8, 1), activations=RELU, seed=0)
