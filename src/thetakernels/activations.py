@@ -130,7 +130,10 @@ def reference_activation(name: str, slope: float | None = None) -> ReferenceActi
         if inner:
             if slope is not None:
                 raise DomainError(f"slope given twice: {name!r} and slope={slope}")
-            slope = float(inner)
+            try:
+                slope = float(inner)
+            except ValueError:
+                raise DomainError(f"cannot read a slope from {name!r}")
             label = "prelu"
     if label == "prelu":
         if slope is None:

@@ -12,11 +12,15 @@ Conventions shared by every subcommand:
     exit 3  numerical failure (instability, factorization, zero norms);
     long flags only, full double-precision decimal output, CSV with header.
 
-A JSON experiment config can supply any parameter group via ``--config``;
-explicit flags win over config values.  Schema: sections pgf{theta,a,c,q,r},
+A JSON experiment config can supply any parameter group via ``--config``.
+Its values become the subcommand's argument defaults at parse time, so each
+parameter is resolved once: a flag beats the config, and the config beats
+the flag's built-in default.  Schema: sections pgf{theta,a,c,q,r},
 kernel{kind,depth,c_sequence}, activation{source,name,k_max},
 mlp{widths,samples,seed}, gp{noise}, output{path}; unknown sections or keys
-are rejected before any computation.
+are rejected before any computation.  Two cases are special: a pure kernel
+reads ``pgf.c`` and a c-mixed kernel reads ``kernel.c_sequence``, and
+``--c`` beats both; ``kernel.depth`` never sets ``mlp-study --depth``.
 """
 
 from __future__ import annotations
@@ -129,52 +133,54 @@ def _check_values(section: str, body: dict) -> None:
             raise ConfigError(f"{section}.{key} must be {what}")
 
 
-class _Config:
-    """Validated experiment config; empty when no file was given."""
+def _config_defaults(path: str) -> dict:
+    """The config file at path, validated, as argument defaults by dest.
 
-    def __init__(self, path: str | None):
-        self.data: dict = {}
-        if path is None:
-            return
-        raw = _read_json(path, "config")
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        for section, body in raw.items():
-            allowed = {key for sec, key in _CONFIG_SCHEMA if sec == section}
-            if not allowed:
-                raise ConfigError(f"unknown config section {section!r}")
-            _check_values(section, _check_keys(body, allowed, (),
-                                               f"config section {section!r}"))
-        self.data = raw
-
-    def get(self, section: str, key: str, default=None):
-        return self.data.get(section, {}).get(key, default)
-
-
-def _pick(flag_value, cfg: _Config, section: str, key: str, default=None):
-    if flag_value is not None:
-        return flag_value
-    value = cfg.get(section, key)
-    return default if value is None else value
-
-
-def _require(value, what: str):
-    if value is None:
-        raise ConfigError(f"missing required parameter: {what}")
-    return value
+    Each key names its flag's dest, except output.path, which sets --out."""
+    raw = _read_json(path, "config")
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a JSON object")
+    defaults = {}
+    for section, body in raw.items():
+        allowed = {key for sec, key in _CONFIG_SCHEMA if sec == section}
+        if not allowed:
+            raise ConfigError(f"unknown config section {section!r}")
+        _check_values(section, _check_keys(body, allowed, (),
+                                           f"config section {section!r}"))
+        defaults.update({"out" if key == "path" else key: value
+                         for key, value in body.items()})
+    return defaults
 
 
 # ---------------------------------------------------------------------------
 # Shared builders
 # ---------------------------------------------------------------------------
 
+class _StoreC(argparse.Action):
+    """--c fills both dests its config keys fill: c (pgf.c, read by single
+    PGFs and pure kernels) and c_sequence (kernel.c_sequence, read by c-mixed
+    kernels), so the flag beats either key."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.c = namespace.c_sequence = values
+
+
 def _add_pgf_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--theta", type=float, default=None)
     sub.add_argument("--a", type=float, default=None)
-    sub.add_argument("--c", type=str, default=None,
+    sub.add_argument("--c", type=str, default=None, action=_StoreC,
                      help="PGF constant; comma list for c-mixed kernels")
     sub.add_argument("--q", type=float, default=None)
     sub.add_argument("--r", type=float, default=None)
+    sub.set_defaults(c_sequence=None)
+
+
+def _parse(cast, raw, what: str):
+    """cast(raw); a ValueError becomes a ConfigError naming the flag."""
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ConfigError(f"cannot parse {what} from {raw!r}")
 
 
 def _c_list(raw, what: str, cast=float) -> tuple:
@@ -182,10 +188,7 @@ def _c_list(raw, what: str, cast=float) -> tuple:
     if raw is None:
         raise ConfigError(f"missing required parameter: {what}")
     parts = raw if isinstance(raw, list) else [p for p in raw.split(",") if p.strip()]
-    try:
-        return tuple(cast(part) for part in parts)
-    except ValueError:
-        raise ConfigError(f"cannot parse {what} from {raw!r}")
+    return tuple(_parse(cast, part, what) for part in parts)
 
 
 def _pgf_from_json(record, where: str) -> ThetaPgf:
@@ -196,16 +199,15 @@ def _pgf_from_json(record, where: str) -> ThetaPgf:
     return make_theta_pgf(**given)
 
 
-def _pgf_record(args, cfg: _Config) -> dict:
-    """The PGF record that flags and config give; flags win."""
-    record = {key: _pick(getattr(args, key), cfg, "pgf", key) for key in _PGF_KEYS}
-    if isinstance(record["c"], str):
-        record["c"] = float(record["c"])
+def _pgf_record(args) -> dict:
+    record = {key: getattr(args, key) for key in _PGF_KEYS}
+    if isinstance(record["c"], str):            # the --c flag; pgf.c is a number
+        record["c"] = _parse(float, record["c"], "--c")
     return record
 
 
-def _build_theta_pgf(args, cfg: _Config) -> ThetaPgf:
-    return _pgf_from_json(_pgf_record(args, cfg), "the PGF given by flags and config")
+def _build_theta_pgf(args) -> ThetaPgf:
+    return _pgf_from_json(_pgf_record(args), "the PGF given by flags and config")
 
 
 def _pgf_to_json(f: ThetaPgf) -> dict:
@@ -241,20 +243,18 @@ def _kernel_from_json(record, where: str) -> KernelSpec:
                              for i, entry in enumerate(factors)))
 
 
-def _build_kernel(args, cfg: _Config) -> KernelSpec:
+def _build_kernel(args) -> KernelSpec:
     """Flags and config as a kernel record, built by _kernel_from_json."""
-    kind = _pick(args.kind, cfg, "kernel", "kind", "pure")
-    if kind == "pure":
-        record = {"depth": _pick(args.depth, cfg, "kernel", "depth"),
-                  "pgf": _pgf_record(args, cfg)}
-    elif kind == "cmixed":
-        cs = _pick(args.c, cfg, "kernel", "c_sequence")
-        record = {"theta": _pick(args.theta, cfg, "pgf", "theta"),
+    if args.kind == "pure":
+        record = {"depth": args.depth, "pgf": _pgf_record(args)}
+    elif args.kind == "cmixed":
+        cs = args.c_sequence
+        record = {"theta": args.theta,
                   "c_sequence": list(_c_list(cs, "--c")) if isinstance(cs, str) else cs}
     else:
         record = {"factors": None if args.factors is None
                   else _read_json(args.factors, "factors file")}
-    return _kernel_from_json({"kind": kind, **record}, "kernel from flags and config")
+    return _kernel_from_json({"kind": args.kind, **record}, "kernel from flags and config")
 
 
 def _theta_activation(f: ThetaPgf, k_max: int) -> Activation:
@@ -262,25 +262,17 @@ def _theta_activation(f: ThetaPgf, k_max: int) -> Activation:
     return activation_from_coefficients(series.coefficients, eps_tail=series.eps_tail)
 
 
-def _k_max(args, cfg: _Config, default: int = DEFAULT_SERIES_K) -> int:
-    return int(_pick(args.k_max, cfg, "activation", "k_max", default))
-
-
-def _build_activation(args, cfg: _Config) -> Activation:
-    coeffs_path = getattr(args, "coeffs", None)
-    if coeffs_path is not None:
-        table = _read_csv(coeffs_path)
-        return activation_from_coefficients(table[:, -1])
-    source = _pick(args.source, cfg, "activation", "source")
+def _build_activation(args) -> Activation:
+    if args.coeffs is not None:
+        return activation_from_coefficients(_read_csv(args.coeffs)[:, -1])
+    source = args.source
     if source is None:
-        source = "theta" if args.theta is not None or cfg.get("pgf", "theta") is not None \
-            else "reference"
-    if source == "reference":
-        name = _require(_pick(args.name, cfg, "activation", "name"), "--name")
-        return reference_activation(name, getattr(args, "slope", None))
+        source = "theta" if args.theta is not None else "reference"
     if source == "theta":
-        return _theta_activation(_build_theta_pgf(args, cfg), _k_max(args, cfg))
-    raise ConfigError(f"unknown activation source {source!r}")
+        return _theta_activation(_build_theta_pgf(args), args.k_max)
+    if args.name is None:
+        raise ConfigError("missing required parameter: --name")
+    return reference_activation(args.name, args.slope)
 
 
 # ---------------------------------------------------------------------------
@@ -334,30 +326,26 @@ def _write_json(path: str | None, record) -> None:
     _write(path, lambda handle: handle.write(json.dumps(record, indent=2) + "\n"))
 
 
-def _out_path(args, cfg: _Config) -> str | None:
-    return _pick(getattr(args, "out", None), cfg, "output", "path")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_pgf_eval(args, cfg: _Config) -> None:
-    f = _build_theta_pgf(args, cfg)
+def _cmd_pgf_eval(args) -> None:
+    f = _build_theta_pgf(args)
     print(_fmt(f.eval(args.s)))
 
 
-def _cmd_pgf_iterate(args, cfg: _Config) -> None:
-    f = pgf_iterate_closed(_build_theta_pgf(args, cfg), args.n)
+def _cmd_pgf_iterate(args) -> None:
+    f = pgf_iterate_closed(_build_theta_pgf(args), args.n)
     record = {**_pgf_to_json(f), "regime": f.params.regime.value}
     if args.s is not None:
         record["value"] = f.eval(args.s)
     print(json.dumps(record))
 
 
-def _cmd_pgf_coeffs(args, cfg: _Config) -> None:
-    p = theta_coefficients(_build_theta_pgf(args, cfg), _k_max(args, cfg))
-    _write_table(_out_path(args, cfg), ["k", "p"], list(enumerate(p)))
+def _cmd_pgf_coeffs(args) -> None:
+    p = theta_coefficients(_build_theta_pgf(args), args.k_max)
+    _write_table(args.out, ["k", "p"], list(enumerate(p)))
 
 
 def _grid(args) -> np.ndarray:
@@ -368,16 +356,16 @@ def _grid(args) -> np.ndarray:
     return np.linspace(lo, hi, count + 1)
 
 
-def _cmd_activation_curve(args, cfg: _Config) -> None:
-    act = _build_activation(args, cfg)
+def _cmd_activation_curve(args) -> None:
+    act = _build_activation(args)
     xs = _grid(args)
     values = act(xs)
-    _write_table(_out_path(args, cfg), ["x", "phi"], list(zip(xs, values)))
+    _write_table(args.out, ["x", "phi"], list(zip(xs, values)))
 
 
-def _cmd_activation_to_pgf(args, cfg: _Config) -> None:
-    p = activation_to_pgf(_build_activation(args, cfg), _k_max(args, cfg))
-    _write_table(_out_path(args, cfg), ["k", "p"], list(enumerate(p)))
+def _cmd_activation_to_pgf(args) -> None:
+    p = activation_to_pgf(_build_activation(args), args.k_max)
+    _write_table(args.out, ["k", "p"], list(enumerate(p)))
 
 
 def _rho_from_args(args) -> float:
@@ -390,49 +378,47 @@ def _rho_from_args(args) -> float:
     return correlation(_c_list(args.x, "--x"), _c_list(args.z, "--z"))
 
 
-def _cmd_kernel_eval(args, cfg: _Config) -> None:
-    spec = _build_kernel(args, cfg)
+def _cmd_kernel_eval(args) -> None:
+    spec = _build_kernel(args)
     print(_fmt(kernel_at_rho(spec, _rho_from_args(args))))
 
 
-def _cmd_kernel_gram(args, cfg: _Config) -> None:
-    spec = _build_kernel(args, cfg)
+def _cmd_kernel_gram(args) -> None:
+    spec = _build_kernel(args)
     points = _read_csv(args.points)
     matrix = gram(spec, points)
     header = [f"c{i}" for i in range(matrix.shape[1])]
-    _write_table(_out_path(args, cfg), header, matrix.tolist())
+    _write_table(args.out, header, matrix.tolist())
 
 
-def _cmd_kernel_limit(args, cfg: _Config) -> None:
-    spec = _build_kernel(args, cfg)
+def _cmd_kernel_limit(args) -> None:
+    spec = _build_kernel(args)
     value = kernel_limit(spec, _rho_from_args(args), c_sum=args.c_sum,
                          sum_diverges=args.diverges)
     print(_fmt(value))
 
 
-def _cmd_kernel_eigen(args, cfg: _Config) -> None:
-    spec = _build_kernel(args, cfg)
-    system = eigensystem(spec, args.m, _k_max(args, cfg, 20))
-    _write_json(_out_path(args, cfg), {"dimension": system.dimension,
-                                       "surface_area": surface_area(system.dimension),
-                                       "entries": system.records()})
+def _cmd_kernel_eigen(args) -> None:
+    spec = _build_kernel(args)
+    system = eigensystem(spec, args.m, args.k_max)
+    _write_json(args.out, {"dimension": system.dimension,
+                           "surface_area": surface_area(system.dimension),
+                           "entries": system.records()})
 
 
-def _cmd_mlp_study(args, cfg: _Config) -> None:
+def _cmd_mlp_study(args) -> None:
     acts = _c_list(args.activation, "--activation", reference_activation)
-    depth = args.depth if args.depth is not None else max(2, len(acts))
-    widths = list(_c_list(_pick(args.widths, cfg, "mlp", "widths"), "--widths", int))
-    samples = int(_pick(args.samples, cfg, "mlp", "samples", 20000))
-    seed = int(_pick(args.seed, cfg, "mlp", "seed", 0))
+    depth = args.layers if args.layers is not None else max(2, len(acts))
+    widths = list(_c_list(args.widths, "--widths", int))
     rho = args.rho
     if not -1.0 <= rho <= 1.0:
         raise ConfigError(f"--rho must lie in [-1, 1], got {rho}")
     x = np.array([1.0, 0.0])
     z = np.array([rho, math.sqrt(1.0 - rho * rho)])
     base = MlpConfig(widths=(2,) + (8,) * depth + (1,),
-                     activations=acts[0] if len(acts) == 1 else acts, seed=seed)
-    rows = convergence_study(base, widths, x, z, samples)
-    _write_table(_out_path(args, cfg), ["width", "estimate", "se", "reference", "gap"],
+                     activations=acts[0] if len(acts) == 1 else acts, seed=args.seed)
+    rows = convergence_study(base, widths, x, z, args.samples)
+    _write_table(args.out, ["width", "estimate", "se", "reference", "gap"],
                  [(row.width, row.estimate, row.se, row.reference, row.gap)
                   for row in rows])
 
@@ -452,13 +438,12 @@ def _kernel_to_json(spec: KernelSpec) -> dict:
     raise ConfigError("only theta-form kernel specs can be serialized")
 
 
-def _cmd_gp_fit(args, cfg: _Config) -> None:
-    spec = _build_kernel(args, cfg)
+def _cmd_gp_fit(args) -> None:
+    spec = _build_kernel(args)
     table = _read_csv(args.train)
     if table.shape[1] < 2:
         raise ConfigError("training CSV needs coordinate columns plus a target column")
-    noise = float(_pick(args.noise, cfg, "gp", "noise", 0.0))
-    model = gp_fit(spec, table[:, :-1], table[:, -1], noise)
+    model = gp_fit(spec, table[:, :-1], table[:, -1], args.noise)
     _write_json(args.model_out, {"kernel": _kernel_to_json(spec),
                                  "inputs": model.inputs.tolist(),
                                  "targets": model.targets.tolist(),
@@ -468,7 +453,7 @@ def _cmd_gp_fit(args, cfg: _Config) -> None:
     print(f"fit {model.targets.size} points, jitter_level={model.jitter_level}")
 
 
-def _cmd_gp_predict(args, cfg: _Config) -> None:
+def _cmd_gp_predict(args) -> None:
     record = _check_keys(_read_json(args.model, "model"),
                          _MODEL_KEYS + ("jitter", "jitter_level"), _MODEL_KEYS,
                          "model file")
@@ -478,18 +463,18 @@ def _cmd_gp_predict(args, cfg: _Config) -> None:
                    float(record["noise"]))
     queries = _read_csv(args.query)
     result = gp_predict(model, queries)
-    _write_table(_out_path(args, cfg), ["mean", "variance"],
+    _write_table(args.out, ["mean", "variance"],
                  list(zip(result.means, result.variances)))
     if result.num_clamped:
         print(f"clamped {result.num_clamped} negative variances", file=sys.stderr)
 
 
-def _cmd_reproduce_fig1(args, cfg: _Config) -> None:
+def _cmd_reproduce_fig1(args) -> None:
     params, name, slope = _FIG1_CASES[args.case]
     xs = np.linspace(-3.0, 3.0, 601)
-    theta_vals = _theta_activation(make_theta_pgf(**params), _k_max(args, cfg))(xs)
+    theta_vals = _theta_activation(make_theta_pgf(**params), args.k_max)(xs)
     ref_vals = reference_activation(name, slope)(xs)
-    _write_table(_out_path(args, cfg), ["x", "theta_activation", "reference"],
+    _write_table(args.out, ["x", "theta_activation", "reference"],
                  list(zip(xs, theta_vals, ref_vals)))
     window = np.abs(xs) <= 2.0 + 1e-12
     sup = float(np.max(np.abs(theta_vals[window] - ref_vals[window])))
@@ -500,7 +485,9 @@ def _cmd_reproduce_fig1(args, cfg: _Config) -> None:
 # Parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The theta-kernels parser.  defaults, keyed by argument dest, replace
+    every subcommand's built-in defaults; app passes the --config file's."""
     parser = argparse.ArgumentParser(
         prog="theta-kernels",
         description="Compositional kernels from branching-process generating functions")
@@ -524,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub("pgf-coeffs", _cmd_pgf_coeffs, "series coefficients of a theta PGF")
     _add_pgf_flags(s)
-    s.add_argument("--k-max", type=int, default=None)
+    s.add_argument("--k-max", type=int, default=DEFAULT_SERIES_K)
     s.add_argument("--out", type=str, default=None)
 
     for name, func in (("activation-curve", _cmd_activation_curve),
@@ -538,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--slope", type=float, default=None)
         s.add_argument("--coeffs", type=str, default=None,
                        help="CSV of PGF coefficients to build the activation from")
-        s.add_argument("--k-max", type=int, default=None)
+        s.add_argument("--k-max", type=int, default=DEFAULT_SERIES_K)
         s.add_argument("--out", type=str, default=None)
         if "curve" in name:
             s.add_argument("--x-min", type=float, default=-3.0)
@@ -546,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
             s.add_argument("--step", type=float, default=0.01)
 
     def add_kernel_flags(s: argparse.ArgumentParser) -> None:
-        s.add_argument("--kind", choices=("pure", "mixed", "cmixed"), default=None)
+        s.add_argument("--kind", choices=("pure", "mixed", "cmixed"), default="pure")
         _add_pgf_flags(s)
         s.add_argument("--depth", type=int, default=None)
         s.add_argument("--factors", type=str, default=None,
@@ -577,16 +564,17 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub("kernel-eigen", _cmd_kernel_eigen, "sphere eigensystem as JSON")
     add_kernel_flags(s)
     s.add_argument("--m", type=int, required=True)
-    s.add_argument("--k-max", type=int, default=None)
+    s.add_argument("--k-max", type=int, default=20)
     s.add_argument("--out", type=str, default=None)
 
     s = sub("mlp-study", _cmd_mlp_study, "finite-width convergence study")
     s.add_argument("--activation", type=str, default="relu",
                    help="one name (pure) or comma list per layer (mixed)")
-    s.add_argument("--depth", type=int, default=None)
+    # Its own dest, so that the config's kernel.depth does not set it.
+    s.add_argument("--depth", dest="layers", type=int, default=None)
     s.add_argument("--widths", type=str, default=None, help="comma list, increasing")
-    s.add_argument("--samples", type=int, default=None)
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--samples", type=int, default=20000)
+    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--rho", type=float, default=0.5)
     s.add_argument("--out", type=str, default=None)
 
@@ -594,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_kernel_flags(s)
     s.add_argument("--train", type=str, required=True,
                    help="CSV; coordinates then a final target column")
-    s.add_argument("--noise", type=float, default=None)
+    s.add_argument("--noise", type=float, default=0.0)
     s.add_argument("--model-out", type=str, required=True)
 
     s = sub("gp-predict", _cmd_gp_predict, "posterior means and variances")
@@ -605,18 +593,20 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub("reproduce-fig1", _cmd_reproduce_fig1,
             "theta activation vs reference activation curves")
     s.add_argument("--case", choices=tuple(_FIG1_CASES), required=True)
-    s.add_argument("--k-max", type=int, default=None)
+    s.add_argument("--k-max", type=int, default=DEFAULT_SERIES_K)
     s.add_argument("--out", type=str, default=None)
 
+    for s in subs.choices.values():
+        s.set_defaults(**(defaults or {}))
     return parser
 
 
 def app(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _Config(args.config)
-        args.func(args, cfg)
+        if args.config is not None:
+            args = build_parser(_config_defaults(args.config)).parse_args(argv)
+        args.func(args)
     except ThetaKernelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ArithmeticError) else 2

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalInstability, _order
+from .errors import InvalidCoefficients, NumericalInstability, _order
 
 __all__ = [
     "hermite_design",
@@ -65,7 +65,7 @@ def hermite_series(coefficients, x):
     """
     c = np.asarray(coefficients, dtype=float)
     if c.ndim != 1 or c.size == 0:
-        raise ValueError("coefficients must be a non-empty flat sequence")
+        raise InvalidCoefficients("coefficients must be a non-empty flat sequence")
     arr = np.asarray(x, dtype=float)
     b1 = np.zeros_like(arr)   # b_{k+1}
     b2 = np.zeros_like(arr)   # b_{k+2}, overwritten with b_k

@@ -495,6 +495,8 @@ def series_coefficients(f: Pgf | Callable, k_max: int,
         num_nodes: grid size; default 8 * k_max (at least 64).
 
     Raises:
+        DomainError: for a radius outside (0, 1), or a node count that is
+            not an integer >= 4 * k_max.
         NumericalInstability: if an extracted coefficient is below -1e-8,
             which signals a misconfigured radius or node count.
     """
@@ -502,11 +504,9 @@ def series_coefficients(f: Pgf | Callable, k_max: int,
     if radius is None:
         radius = _extraction_radius(k_max)
     if not 0.0 < radius < 1.0:
-        raise ValueError(f"contour radius must lie in (0, 1), got {radius}")
-    if num_nodes is None:
-        num_nodes = max(64, 8 * k_max)
-    if num_nodes < max(1, 4 * k_max):
-        raise ValueError(f"need at least {max(1, 4 * k_max)} nodes, got {num_nodes}")
+        raise DomainError(f"contour radius must lie in (0, 1), got {radius}")
+    num_nodes = _order(max(64, 8 * k_max) if num_nodes is None else num_nodes,
+                       "num_nodes", max(1, 4 * k_max))
     evaluate = getattr(f, "eval_extended", f)
     nodes = radius * np.exp(2j * np.pi * np.arange(num_nodes) / num_nodes)
     values = np.asarray(evaluate(nodes), dtype=complex)

@@ -76,6 +76,15 @@ class TestPgfCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "c = 10000000000.0" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["pgf-eval", "--theta", "1", "--a", "1", "--c", "abc", "--s", "0"],
+        ["kernel-eval", "--kind", "cmixed", "--theta", "1", "--c", "0.5,abc", "--rho", "0"],
+    ])
+    def test_unparsable_c_names_the_flag(self, capsys, argv):
+        assert app(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--c" in err
+
     def test_numerical_failure_exit_code(self, capsys):
         code = app(["pgf-iterate", "--theta", "1", "--a", "2", "--c", "1",
                     "--n", "1000000000"])
@@ -501,3 +510,170 @@ class TestConsoleScript:
         proc = run("pgf-eval", "--theta", "-0.5", "--a", "2", "--q", "0.2", "--s", "0")
         assert proc.returncode == 2, proc.stderr
         assert "error:" in proc.stderr
+
+
+class TestConfigKeys:
+    """Each config key sets its subcommand's input, and the flag beats it."""
+
+    @pytest.fixture
+    def run(self, tmp_path, monkeypatch, capsys):
+        """run(argv, config=None) -> (exit status, stdout, files written).
+
+        Commands run in an empty directory, with data files one level up."""
+        rng = np.random.default_rng(4)
+        coords = rng.standard_normal((6, 3))
+        np.savetxt(tmp_path / "train.csv", np.column_stack([coords, coords[:, 0]]),
+                   delimiter=",")
+        np.savetxt(tmp_path / "points.csv", coords, delimiter=",")
+        (tmp_path / "model.json").write_text(json.dumps({
+            "kernel": {"kind": "pure", "depth": 2,
+                       "pgf": {"theta": 1.0, "a": 1.0, "c": 1.0}},
+            "inputs": coords.tolist(), "targets": coords[:, 0].tolist(), "noise": 0.01}))
+        workdir = tmp_path / "run"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+
+        def run(argv, config=None):
+            for path in workdir.iterdir():
+                path.unlink()
+            if config is not None:
+                (tmp_path / "cfg.json").write_text(json.dumps(config))
+                argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+            capsys.readouterr()
+            code = app(argv)
+            files = {path.name: path.read_bytes() for path in workdir.iterdir()}
+            return code, capsys.readouterr().out, files
+
+        return run
+
+    # (section, key, command, config value, the same value as flags, another value)
+    CASES = [
+        ("pgf", "theta", ["pgf-eval", "--a", "1", "--c", "1", "--s", "0.5"],
+         1.0, ["--theta", "1"], 0.5),
+        ("pgf", "a", ["pgf-eval", "--theta", "1", "--c", "1", "--s", "0.5"],
+         1.0, ["--a", "1"], 1.5),
+        ("pgf", "c", ["pgf-eval", "--theta", "1", "--a", "1", "--s", "0.5"],
+         1.0, ["--c", "1"], 2.0),
+        ("pgf", "q", ["pgf-eval", "--theta", "0.5", "--a", "0.5", "--s", "0.5"],
+         0.3, ["--q", "0.3"], 0.2),
+        ("pgf", "r", ["pgf-eval", "--theta", "0.5", "--a", "0.5", "--q", "0.3",
+                      "--s", "0.5"], 2.0, ["--r", "2"], 1.5),
+        ("kernel", "kind", ["kernel-eval", "--theta", "1", "--a", "1.2", "--c", "0.5",
+                            "--depth", "1", "--rho", "0.3"], "cmixed", ["--kind", "cmixed"],
+         "pure"),
+        ("kernel", "depth", ["kernel-eval", "--theta", "1", "--a", "1", "--c", "1",
+                             "--rho", "0.3"], 2, ["--depth", "2"], 3),
+        ("kernel", "c_sequence", ["kernel-eval", "--kind", "cmixed", "--theta", "1",
+                                  "--rho", "0.3"], [0.5, 0.25], ["--c", "0.5,0.25"], [0.5]),
+        ("activation", "source", ["activation-to-pgf", "--theta", "1", "--a", "1", "--c", "1",
+                                  "--name", "relu", "--k-max", "4"], "reference",
+         ["--source", "reference"], "theta"),
+        ("activation", "name", ["activation-to-pgf", "--source", "reference", "--k-max", "4"],
+         "relu", ["--name", "relu"], "linear"),
+        ("activation", "k_max", ["pgf-coeffs", "--theta", "1", "--a", "1", "--c", "1"],
+         4, ["--k-max", "4"], 6),
+        ("activation", "k_max", ["activation-curve", "--theta", "1", "--a", "1", "--c", "1",
+                                 "--step", "0.5"], 4, ["--k-max", "4"], 6),
+        ("activation", "k_max", ["activation-to-pgf", "--name", "relu"],
+         4, ["--k-max", "4"], 6),
+        ("activation", "k_max", ["kernel-eigen", "--theta", "1", "--a", "1", "--c", "1",
+                                 "--depth", "1", "--m", "3"], 4, ["--k-max", "4"], 6),
+        ("activation", "k_max", ["reproduce-fig1", "--case", "prelu-proxy"],
+         8, ["--k-max", "8"], 12),
+        ("mlp", "widths", ["mlp-study", "--depth", "1", "--samples", "100", "--seed", "1"],
+         [16, 32], ["--widths", "16,32"], [16]),
+        ("mlp", "samples", ["mlp-study", "--depth", "1", "--widths", "16", "--seed", "1"],
+         100, ["--samples", "100"], 120),
+        ("mlp", "seed", ["mlp-study", "--depth", "1", "--widths", "16", "--samples", "100"],
+         1, ["--seed", "1"], 2),
+        ("gp", "noise", ["gp-fit", "--theta", "1", "--a", "1", "--c", "1", "--depth", "2",
+                         "--train", "../train.csv", "--model-out", "m.json"],
+         0.01, ["--noise", "0.01"], 0.1),
+        ("output", "path", ["pgf-coeffs", "--theta", "1", "--a", "1", "--c", "1",
+                            "--k-max", "4"], "a.csv", ["--out", "a.csv"], "b.csv"),
+        ("output", "path", ["activation-curve", "--name", "relu", "--step", "0.5"],
+         "a.csv", ["--out", "a.csv"], "b.csv"),
+        ("output", "path", ["activation-to-pgf", "--name", "relu", "--k-max", "4"],
+         "a.csv", ["--out", "a.csv"], "b.csv"),
+        ("output", "path", ["kernel-gram", "--theta", "1", "--a", "1", "--c", "1",
+                            "--depth", "1", "--points", "../points.csv"],
+         "a.csv", ["--out", "a.csv"], "b.csv"),
+        ("output", "path", ["kernel-eigen", "--theta", "1", "--a", "1", "--c", "1",
+                            "--depth", "1", "--m", "3", "--k-max", "4"],
+         "a.json", ["--out", "a.json"], "b.json"),
+        ("output", "path", ["mlp-study", "--depth", "1", "--widths", "16",
+                            "--samples", "100"], "a.csv", ["--out", "a.csv"], "b.csv"),
+        ("output", "path", ["gp-predict", "--model", "../model.json",
+                            "--query", "../points.csv"], "a.csv", ["--out", "a.csv"], "b.csv"),
+        ("output", "path", ["reproduce-fig1", "--case", "linear"],
+         "a.csv", ["--out", "a.csv"], "b.csv"),
+    ]
+
+    def test_cases_cover_the_schema(self):
+        from thetakernels.cli import _CONFIG_SCHEMA
+        assert {(section, key) for section, key, *_ in self.CASES} == set(_CONFIG_SCHEMA)
+
+    @pytest.mark.parametrize("section, key, argv, value, flags, other", CASES,
+                             ids=[f"{c[0]}.{c[1]}-{c[2][0]}" for c in CASES])
+    def test_config_sets_input_and_flag_overrides(self, run, section, key, argv, value,
+                                                  flags, other):
+        expected = run([*argv, *flags])
+        assert expected[0] == 0
+        assert run(argv, {section: {key: value}}) == expected
+        assert run([*argv, *flags], {section: {key: other}}) == expected
+        assert run(argv, {section: {key: other}}) != expected
+
+    def test_pure_reads_pgf_c_and_cmixed_reads_c_sequence(self, run):
+        config = {"pgf": {"c": 0.5}, "kernel": {"c_sequence": [0.25, 0.125]}}
+        pure = ["kernel-eval", "--kind", "pure", "--theta", "1", "--a", "1",
+                "--depth", "2", "--rho", "0.3"]
+        cmixed = ["kernel-eval", "--kind", "cmixed", "--theta", "1", "--rho", "0.3"]
+        assert run(pure, config) == run([*pure, "--c", "0.5"])
+        assert run(cmixed, config) == run([*cmixed, "--c", "0.25,0.125"])
+        for argv in (pure, cmixed):                         # --c beats both keys
+            assert run([*argv, "--c", "0.75"], config) == run([*argv, "--c", "0.75"])
+        assert run(cmixed, {"pgf": {"c": 0.5}})[0] == 2
+        assert run(pure, {"kernel": {"c_sequence": [0.5]}})[0] == 2
+
+    def test_kernel_depth_leaves_mlp_study_depth(self, run):
+        argv = ["mlp-study", "--activation", "linear,relu", "--widths", "16",
+                "--samples", "100"]
+        expected = run(argv)
+        assert expected[0] == 0
+        assert run(argv, {"kernel": {"depth": 5}}) == expected
+        assert run([*argv, "--depth", "2"], {"kernel": {"depth": 5}}) == expected
+
+
+class TestGpModelRoundTrip:
+    """gp-fit writes a kernel record that gp-predict reloads to the same spec."""
+
+    @pytest.mark.parametrize("flags, spec", [
+        (["--kind", "cmixed", "--theta", "0.5", "--c", "0.3,0.2,0.6"],
+         CMixedKernel(0.5, (0.3, 0.2, 0.6))),
+        (["--kind", "mixed", "--factors", "factors.json"],
+         MixedKernel((make_theta_pgf(theta=1.0, a=1.2, c=0.4),
+                      make_theta_pgf(theta=-1.0, a=0.5, q=0.2),
+                      make_theta_pgf(theta=0.5, a=0.5, q=0.3, r=2.0)))),
+    ], ids=["cmixed", "mixed"])
+    def test_fit_then_predict(self, tmp_path, monkeypatch, capsys, flags, spec):
+        from thetakernels.cli import _kernel_from_json
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "factors.json").write_text(json.dumps(
+            [{"theta": 1.0, "a": 1.2, "c": 0.4}, {"theta": -1.0, "a": 0.5, "q": 0.2},
+             {"theta": 0.5, "a": 0.5, "q": 0.3, "r": 2.0}]))
+        rng = np.random.default_rng(12)
+        coords, queries = rng.standard_normal((10, 3)), rng.standard_normal((4, 3))
+        targets = np.sin(coords[:, 0])
+        np.savetxt("train.csv", np.column_stack([coords, targets]), delimiter=",",
+                   fmt="%.17g")
+        np.savetxt("query.csv", queries, delimiter=",", fmt="%.17g")
+        assert app(["gp-fit", *flags, "--train", "train.csv", "--noise", "0.01",
+                    "--model-out", "model.json"]) == 0
+        record = json.loads((tmp_path / "model.json").read_text())
+        assert _kernel_from_json(record["kernel"], "model") == spec
+        assert app(["gp-predict", "--model", "model.json", "--query", "query.csv",
+                    "--out", "post.csv"]) == 0
+        expected = gp_predict(gp_fit(spec, coords, targets, 0.01), queries)
+        table = _load_csv(tmp_path / "post.csv")
+        assert np.array_equal(table[:, 0], expected.means)
+        assert np.array_equal(table[:, 1], expected.variances)
