@@ -3,19 +3,32 @@
 Standard conditioning on the unit sphere: training inputs are normalized
 (the kernels only see correlations), the Gram matrix is factorized once with
 a small escalating jitter ladder, and prediction is the usual posterior mean
-and latent variance.  Nothing here is kernel-specific beyond calling into
-:mod:`thetakernels.kernels`, which is the point: theta kernels drop into a
-stock GP pipeline with no recursive evaluation at fit or predict time.
+and latent variance (the Cholesky route of Rasmussen & Williams, *Gaussian
+Processes for Machine Learning*, 2006, Alg. 2.1).  Nothing here is
+kernel-specific beyond calling into :mod:`thetakernels.kernels`, which is the
+point: theta kernels drop into a stock GP pipeline with no recursive
+evaluation at fit or predict time.
+
+Both steps work in place, through LAPACK, on the matrices they build.  The
+Gram is C-ordered and exactly symmetric, so its transpose is the same matrix
+in Fortran order; ``fit`` factors that view, which overwrites only the
+C-view's upper triangle.  After a failed attempt the untouched lower triangle
+restores it; after a successful one that lower triangle is zeroed, leaving
+the Fortran-ordered lower factor.  ``predict`` takes the means from the
+cross-Gram, then overwrites it with the triangular solve for the variances.
+Neither allocates a second matrix of its matrix's size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, FactorizationFailed
+from .errors import (DimensionMismatch, DomainError, FactorizationFailed,
+                     NumericalInstability)
 from .kernels import KernelSpec, _as_points, cross_gram, gram, kernel_at_rho
 
 __all__ = ["GpModel", "PredictResult", "JITTER_LADDER", "fit", "predict"]
@@ -32,7 +45,7 @@ class GpModel:
     inputs: np.ndarray          # unit-norm rows
     targets: np.ndarray
     noise: float
-    chol_lower: np.ndarray
+    chol_lower: np.ndarray      # Fortran-ordered lower factor of K + (noise + jitter) I
     alpha: np.ndarray           # (K + (noise + jitter) I)^{-1} targets
     jitter: float
     jitter_level: int           # index into JITTER_LADDER; 0 means none needed
@@ -44,24 +57,36 @@ class PredictResult(NamedTuple):
     num_clamped: int
 
 
+def _check_finite(matrix: np.ndarray, name: str) -> None:
+    # A NaN or inf entry makes the sum non-finite, and the sum needs no
+    # matrix-sized mask.  Kernel values lie in [-1, 1], so a finite matrix
+    # has a finite sum.
+    if not np.isfinite(matrix.sum()):
+        raise NumericalInstability(f"the {name} has a non-finite entry")
+
+
 def fit(spec: KernelSpec, X: Sequence[Sequence[float]], y: Sequence[float],
         noise: float = 0.0) -> GpModel:
     """Condition a zero-mean GP with the given kernel on (X, y).
 
     Inputs are normalized onto the unit sphere.  The Gram factorization
     retries up the jitter ladder; FactorizationFailed carries the final
-    attempt's diagnostics.
+    attempt's diagnostics.  A non-finite target or noise raises DomainError,
+    a non-finite Gram entry NumericalInstability.
     """
-    from scipy.linalg import solve_triangular   # deferred: import cost
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve   # deferred: import cost
     inputs = _as_points(X)
     targets = np.asarray(y, dtype=float).ravel()
     if targets.shape[0] != inputs.shape[0] or targets.shape[0] == 0:
         raise DimensionMismatch(
             f"need one target per input, got {inputs.shape[0]} inputs "
             f"and {targets.shape[0]} targets")
-    if not noise >= 0.0:
-        raise DomainError(f"noise variance must be >= 0, got {noise}")
+    if not np.isfinite(targets).all():
+        raise DomainError("targets must be finite")
+    if not 0.0 <= noise < math.inf:
+        raise DomainError(f"noise variance must be finite and >= 0, got {noise}")
     kmat = gram(spec, inputs)
+    _check_finite(kmat, "Gram")
     n = kmat.shape[0]
     scale = float(np.trace(kmat)) / n + noise
     diagonal = kmat.diagonal().copy()
@@ -70,11 +95,17 @@ def fit(spec: KernelSpec, X: Sequence[Sequence[float]], y: Sequence[float],
         # kmat is this call's own array: shift its diagonal in place.
         np.fill_diagonal(kmat, diagonal + (noise + jitter))
         try:
-            chol = np.linalg.cholesky(kmat)
-        except np.linalg.LinAlgError:
+            # kmat.T is kmat in Fortran order; LAPACK overwrites its lower
+            # triangle, which is kmat's upper one, and reads no other entry.
+            chol, _ = cho_factor(kmat.T, lower=True, overwrite_a=True,
+                                 check_finite=False)
+        except LinAlgError:
+            for j in range(1, n):   # restore the upper triangle from the lower
+                kmat[:j, j] = kmat[j, :j]
             continue
-        alpha = solve_triangular(
-            chol.T, solve_triangular(chol, targets, lower=True), lower=False)
+        for j in range(1, n):       # zero the stale lower triangle, row by row
+            kmat[j, :j] = 0.0
+        alpha = cho_solve((chol, True), targets, check_finite=False)
         return GpModel(spec=spec, inputs=inputs, targets=targets, noise=float(noise),
                        chol_lower=chol, alpha=alpha, jitter=jitter,
                        jitter_level=level)
@@ -88,7 +119,8 @@ def predict(model: GpModel, Xstar: Sequence[Sequence[float]]) -> PredictResult:
     """Posterior mean and latent variance at query points.
 
     Variances are clamped at zero from below; the clamp count is reported so
-    callers can tell rounding from structure.
+    callers can tell rounding from structure.  A non-finite cross-Gram entry
+    raises NumericalInstability.
     """
     from scipy.linalg import solve_triangular   # deferred: import cost
     stars = np.asarray(Xstar, dtype=float)
@@ -99,8 +131,11 @@ def predict(model: GpModel, Xstar: Sequence[Sequence[float]]) -> PredictResult:
             f"query points must have shape (*, {model.inputs.shape[1]}), "
             f"got {stars.shape}")
     kstar = cross_gram(model.spec, stars, model.inputs)
+    _check_finite(kstar, "cross-Gram")
     means = kstar @ model.alpha
-    v = solve_triangular(model.chol_lower, kstar.T, lower=True)
+    # kstar.T is Fortran-ordered and this call's own: solve in place.
+    v = solve_triangular(model.chol_lower, kstar.T, lower=True, overwrite_b=True,
+                         check_finite=False)
     prior = kernel_at_rho(model.spec, 1.0)
     variances = prior - np.einsum("ij,ij->j", v, v)
     clamped = int(np.sum(variances < 0.0))

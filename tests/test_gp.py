@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from thetakernels import gp
 from thetakernels.errors import DimensionMismatch, DomainError, FactorizationFailed
@@ -53,8 +56,8 @@ class TestFit:
         ((-2.0, 0.0), False, 0.01, 1),      # the first attempt cannot succeed
     ])
     def test_factor_of_shifted_gram(self, monkeypatch, ladder, duplicate, noise, level):
-        # fit shifts the Gram's diagonal in place; each ladder attempt must
-        # start from the unshifted Gram, so the factor is exactly that of
+        # fit factors the Gram in place; each ladder attempt must start from
+        # the unshifted Gram, so the factor is exactly LAPACK's factor of
         # K + (noise + jitter) I.
         monkeypatch.setattr(gp, "JITTER_LADDER", ladder)
         X, y = _training_set(count=6)
@@ -63,7 +66,26 @@ class TestFit:
         model = fit(_spec(), X, y, noise=noise)
         assert model.jitter_level == level
         shifted = gram(_spec(), model.inputs) + (noise + model.jitter) * np.eye(len(X))
-        assert np.array_equal(model.chol_lower, np.linalg.cholesky(shifted))
+        assert np.array_equal(model.chol_lower,
+                              scipy.linalg.cholesky(shifted, lower=True))
+
+    def test_failed_attempt_restores_the_gram(self):
+        # A duplicate last input fails the first attempt at its last pivot,
+        # after LAPACK has overwritten the rest of its triangle in blocks.
+        X, y = _training_set(count=300, dim=8)
+        X[-1] = X[0]
+        model = fit(_spec(), X, y)
+        assert model.jitter_level >= 1
+        shifted = gram(_spec(), model.inputs) + model.jitter * np.eye(len(X))
+        assert np.array_equal(model.chol_lower,
+                              scipy.linalg.cholesky(shifted, lower=True))
+
+    def test_caller_arrays_unchanged(self):
+        X, y = _training_set()
+        X_before, y_before = X.copy(), y.copy()
+        fit(_spec(), X, y, noise=0.01)
+        assert np.array_equal(X, X_before)
+        assert np.array_equal(y, y_before)
 
     def test_input_scale_invariance(self):
         X, y = _training_set()
@@ -147,6 +169,45 @@ class TestPredict:
         base = predict(fit(_spec(), X, y, noise=0.01), query).means
         doubled = predict(fit(_spec(), X, 2.0 * y, noise=0.01), query).means
         assert doubled[0] == pytest.approx(2.0 * base[0], rel=1e-10)
+
+
+    def test_repeat_is_bitwise_and_leaves_model_unchanged(self):
+        X, y = _training_set(count=40)
+        model = fit(_spec(), X, y, noise=0.01)
+        chol, alpha = model.chol_lower.copy(), model.alpha.copy()
+        query = np.random.default_rng(2).standard_normal((30, 4))
+        first, second = predict(model, query), predict(model, query)
+        assert np.array_equal(first.means, second.means)
+        assert np.array_equal(first.variances, second.variances)
+        assert np.array_equal(model.chol_lower, chol)
+        assert np.array_equal(model.alpha, alpha)
+
+
+class TestMemory:
+    # fit factors the Gram it builds and predict solves in the cross-Gram it
+    # builds, so neither peaks much above that one matrix; the remainder is
+    # the kernel builder's tiles.
+    SIZE = 1000
+
+    def test_peaks(self):
+        rng = np.random.default_rng(3)
+        X, Q = rng.standard_normal((2, self.SIZE, 8))
+        y = rng.standard_normal(self.SIZE)
+        spec = _spec(3)
+        fit(spec, X[:4], y[:4], noise=0.01)      # import scipy outside the trace
+        tracemalloc.start()
+        try:
+            model = fit(spec, X, y, noise=0.01)
+            fit_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            predict(model, Q)
+            predict_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        matrix_bytes = 8 * self.SIZE ** 2
+        assert fit_peak < 1.25 * matrix_bytes
+        assert predict_peak < 1.25 * matrix_bytes
 
 
 class TestJitterLadder:
