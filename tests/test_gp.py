@@ -170,7 +170,6 @@ class TestPredict:
         doubled = predict(fit(_spec(), X, 2.0 * y, noise=0.01), query).means
         assert doubled[0] == pytest.approx(2.0 * base[0], rel=1e-10)
 
-
     def test_repeat_is_bitwise_and_leaves_model_unchanged(self):
         X, y = _training_set(count=40)
         model = fit(_spec(), X, y, noise=0.01)
