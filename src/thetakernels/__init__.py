@@ -24,7 +24,6 @@ from .pgf import (
     Pgf,
     Regime,
     SeriesPgf,
-    ThetaParams,
     ThetaPgf,
     make_theta_pgf,
     pgf_compose_sequence,

@@ -211,8 +211,7 @@ def _build_theta_pgf(args) -> ThetaPgf:
 
 
 def _pgf_to_json(f: ThetaPgf) -> dict:
-    p = f.params
-    return {"theta": p.theta, "a": p.a, "c": p.c, "q": p.q, "r": p.r}
+    return {"theta": f.theta, "a": f.a, "c": f.c, "q": f.q, "r": f.r}
 
 
 #: Keys of a kernel record, by kind; all are required.
@@ -337,7 +336,7 @@ def _cmd_pgf_eval(args) -> None:
 
 def _cmd_pgf_iterate(args) -> None:
     f = pgf_iterate_closed(_build_theta_pgf(args), args.n)
-    record = {**_pgf_to_json(f), "regime": f.params.regime.value}
+    record = {**_pgf_to_json(f), "regime": f.regime.value}
     if args.s is not None:
         record["value"] = f.eval(args.s)
     print(json.dumps(record))

@@ -76,7 +76,7 @@ def fit(spec: KernelSpec, X: Sequence[Sequence[float]], y: Sequence[float],
     """
     from scipy.linalg import LinAlgError, cho_factor, cho_solve   # deferred: import cost
     inputs = _as_points(X)
-    targets = np.asarray(y, dtype=float).ravel()
+    targets = np.array(y, dtype=float).ravel()    # a copy: later writes to y stay out
     if targets.shape[0] != inputs.shape[0] or targets.shape[0] == 0:
         raise DimensionMismatch(
             f"need one target per input, got {inputs.shape[0]} inputs "

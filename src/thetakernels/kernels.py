@@ -196,8 +196,8 @@ def _kernel_evaluator(spec: KernelSpec):
     ``spec_to_pgf``.
     """
     if isinstance(spec, PureKernel) and isinstance(spec.f, ThetaPgf):
-        params, depth = spec.f.params, spec.depth
-        return lambda z: _iterate_eval(params, depth, z)
+        f, depth = spec.f, spec.depth
+        return lambda z: _iterate_eval(f, depth, z)
     return spec_to_pgf(spec).eval_extended
 
 
@@ -264,14 +264,14 @@ def kernel_limit(spec: KernelSpec, rho, c_sum: float | None = None,
                 "c-mixed limit needs c_sum (convergent) or sum_diverges=True")
         return float(out[0]) if scalar else out
     if isinstance(spec, PureKernel) and isinstance(spec.f, ThetaPgf):
-        p = spec.f.params
-        if p.regime is Regime.MAIN_SUPER:
+        f = spec.f
+        if f.regime is Regime.MAIN_SUPER:
             out = np.ones_like(arr)
-        elif p.r == 1.0 and (p.regime is Regime.ZERO_1
-                             or (p.regime is Regime.MAIN_SUB_1 and p.theta > 0.0)):
-            out = np.where(arr >= 1.0, 1.0, p.q)
+        elif f.r == 1.0 and (f.regime is Regime.ZERO_1
+                             or (f.regime is Regime.MAIN_SUB_1 and f.theta > 0.0)):
+            out = np.where(arr >= 1.0, 1.0, f.q)
         else:
-            out = np.full_like(arr, p.q)
+            out = np.full_like(arr, f.q)
         return float(out[0]) if scalar else out
     raise RegimeViolation(
         "infinite-depth limits are defined for theta-form pure kernels "
@@ -302,6 +302,7 @@ def _kernel_matrix(spec: KernelSpec, ua: np.ndarray, ub: np.ndarray,
     diagonal, which is set to correlation 1, and every entry below the
     diagonal is copied from its mirror entry.
     """
+    evaluate = _kernel_evaluator(spec)
     n, m = ua.shape[0], ub.shape[0]
     out = np.empty((n, m))
     rows = max(1, _BLOCK // m)
@@ -311,7 +312,7 @@ def _kernel_matrix(spec: KernelSpec, ua: np.ndarray, ub: np.ndarray,
         np.clip(rho, -1.0, 1.0, out=rho)
         if symmetric:
             np.fill_diagonal(rho, 1.0)
-        out[i:i + rows, j:] = kernel_at_rho(spec, rho)
+        out[i:i + rows, j:] = evaluate(rho)
         if symmetric:
             r = rho.shape[0]
             out[i:i + r, :i] = out[:i, i:i + r].T

@@ -119,11 +119,6 @@ class MlpConfig:
             return self.activations[layer]
         return self.activations
 
-    def weight_count(self) -> int:
-        """Total number of scalar weights in one network draw."""
-        return sum(self.widths[k] * self.widths[k + 1]
-                   for k in range(len(self.widths) - 1))
-
 
 @dataclass(frozen=True)
 class KernelEstimate:
@@ -267,16 +262,10 @@ def empirical_kernel(config: MlpConfig, x: Sequence[float], z: Sequence[float],
     rho0 = correlation(xv, zv)
     out = np.empty(num_samples)
     chunks = range((num_samples + _CHUNK - 1) // _CHUNK)
-    workers = min(worker_count(), len(chunks))
-    if workers <= 1:
-        for chunk in chunks:
-            _pair_samples(config, rho0, chunk, out)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_pair_samples, config, rho0, chunk, out)
-                       for chunk in chunks]
-            for future in futures:
-                future.result()
+    with ThreadPoolExecutor(max_workers=min(worker_count(), len(chunks))) as pool:
+        futures = [pool.submit(_pair_samples, config, rho0, chunk, out) for chunk in chunks]
+        for future in futures:
+            future.result()
     value = float(np.mean(out))
     se = float(np.std(out, ddof=1)) / math.sqrt(num_samples)
     return KernelEstimate(value=value, standard_error=se,

@@ -20,10 +20,14 @@ are encoded by :class:`Regime`:
     ZERO_R       theta = 0,                  a in (0, 1),    r > 1,  q in [0, 1]
     MINUS_ONE    theta = -1,                 a in (0, 1),            q in [0, 1]
 
-:class:`ThetaParams` infers the regime from (theta, a, r) and then checks only
-what that regime asks of c and q.  In the two subcritical main regimes c is not
-free: c = (1 - a) * (r - q)**(-theta), which pins the fixed point f(q) = q.
-:func:`make_theta_pgf` accepts either q or c there and derives the other.
+A :class:`ThetaPgf` is built from (theta, a, c, q, r) and validated once: it
+infers the regime from (theta, a, r) and then checks only what that regime
+asks of c and q.  In the two subcritical main regimes c is not free:
+c = (1 - a) * (r - q)**(-theta), which pins the fixed point f(q) = q, so
+either q or c may be given and the constructor derives the other.
+Composition stays at the parameter level (a -> a**n, c accumulating a
+geometric sum), so :func:`pgf_iterate_closed` builds its result through the
+same constructor.
 
 The regime alone selects the closed form that evaluation, iteration and the
 series coefficients use (a binomial series, raised to the power -1/theta in
@@ -53,7 +57,6 @@ from .errors import (
 
 __all__ = [
     "Regime",
-    "ThetaParams",
     "ThetaPgf",
     "SeriesPgf",
     "ComposedPgf",
@@ -108,7 +111,7 @@ def _finite(value) -> bool:
 def _infer_regime(theta: float, a: float, r: float) -> Regime:
     """The row of the regime table that (theta, a, r) satisfies.
 
-    This is the one place theta, a and r are checked; ThetaParams then checks
+    This is the one place theta, a and r are checked; ThetaPgf then checks
     what the regime asks of c and q.
     """
     for name, value in (("theta", theta), ("a", a), ("r", r)):
@@ -134,80 +137,11 @@ def _check_q(regime: Regime, q) -> None:
            f"{regime.name} needs q in [0, 1{')' if below_one else ']'}, got {q!r}")
 
 
-@dataclass(frozen=True)
-class ThetaParams:
-    """Validated parameter tuple for a theta PGF.
-
-    The regime is inferred from (theta, a, r), not passed in.  Fields not
-    used by the regime are required to be None (q in MAIN_SUPER, c outside
-    the main regimes), so a params object never carries silently ignored
-    numbers.
-    """
-
-    theta: float
-    a: float
-    c: float | None
-    q: float | None
-    r: float
-    regime: Regime = field(init=False)
-
-    def __post_init__(self) -> None:
-        regime = _infer_regime(self.theta, self.a, self.r)
-        object.__setattr__(self, "regime", regime)
-        c, q = self.c, self.q
-        _check(c is None or _finite(c), f"c must be None or a finite number, got {c!r}")
-        if regime is Regime.MAIN_SUPER:
-            _check(c is not None and c > 0.0, f"MAIN_SUPER needs c > 0, got {c}")
-            _check(q is None, "MAIN_SUPER has no q parameter")
-            return
-        _check_q(regime, q)
-        if not regime.is_sub():
-            _check(c is None, f"{regime.name} has no c parameter")
-            return
-        _check(c is not None, "subcritical main regimes need c (derived from q)")
-        expected = derived_c(self.theta, self.a, q, self.r)
-        if not abs(c - expected) <= DERIVED_C_TOL * max(1.0, abs(expected)):
-            raise DerivedCMismatch(
-                f"c = {c} disagrees with derived value {expected} for "
-                f"(theta={self.theta}, a={self.a}, q={q}, r={self.r})")
-
-
-def make_theta_pgf(theta: float, a: float, c: float | None = None,
-                   q: float | None = None, r: float = 1.0) -> "ThetaPgf":
-    """Build a validated theta PGF.
-
-    In the subcritical main regimes either q or c may be supplied; the other
-    is derived.  Supplying both raises :class:`DerivedCMismatch` when they
-    disagree beyond ``DERIVED_C_TOL``.
-    """
-    regime = _infer_regime(theta, a, r)
-    if regime.is_sub():
-        if q is None and c is None:
-            raise RegimeViolation("subcritical main regimes need q or c")
-        if q is None:
-            # Invert c = (1 - a) * (r - q)**(-theta) for q.
-            _check(_finite(c) and c > 0.0, f"cannot derive q from c = {c!r}")
-            try:
-                q = r - (c / (1.0 - a)) ** (-1.0 / theta)
-            except OverflowError:   # the power overflows: q would be -inf
-                raise RegimeViolation(
-                    f"c = {c!r} derives q = -inf for (theta={theta}, a={a}, r={r}); "
-                    "q must be >= 0") from None
-            if abs(q) <= 1e-15:
-                q = 0.0
-        elif c is None:
-            _check_q(regime, q)
-            c = derived_c(theta, a, q, r)
-    return ThetaPgf(ThetaParams(theta=float(theta), a=float(a),
-                                c=None if c is None else float(c),
-                                q=None if q is None else float(q), r=float(r)))
-
-
 # ---------------------------------------------------------------------------
 # Evaluation and closed-form iteration
 # ---------------------------------------------------------------------------
 
-def _iterated(p: ThetaParams, n: int) -> tuple[float, float]:
+def _iterated(p: ThetaPgf, n: int) -> tuple[float, float]:
     """Parameters of the n-fold iterate in log form: (log a_n, b_n).
 
     In the main branch (r - f_n(s))**(-theta) = a_n * (r - s)**(-theta) + c_n
@@ -223,7 +157,7 @@ def _iterated(p: ThetaParams, n: int) -> tuple[float, float]:
     return log_an, p.c * -math.expm1(-log_an) / (p.a - 1.0)
 
 
-def _pinned_power(p: ThetaParams, log_an: float, z) -> np.ndarray:
+def _pinned_power(p: ThetaPgf, log_an: float, z) -> np.ndarray:
     """(a_n * (r - z)**(-theta) + c_n)**(-1/theta), c_n pinned by q, as a 1-d array.
 
     The bracket is 1 + x, x = a_n * expm1(-theta * log(r - z)) + (1 - a_n) *
@@ -237,7 +171,7 @@ def _pinned_power(p: ThetaParams, log_an: float, z) -> np.ndarray:
     return np.exp(np.multiply(x, -1.0 / p.theta, out=x), out=x)
 
 
-def _iterate_eval(p: ThetaParams, n: int, z):
+def _iterate_eval(p: ThetaPgf, n: int, z):
     """The n-fold iterate f_n at z (real or complex, scalar or array).
 
     The regime alone picks the form.  No domain checking: kernels evaluate
@@ -285,9 +219,59 @@ class _PgfBase:
 
 @dataclass(frozen=True)
 class ThetaPgf(_PgfBase):
-    """A theta PGF in closed form."""
+    """A validated theta PGF in closed form.
 
-    params: ThetaParams
+    The regime is inferred from (theta, a, r), not passed in.  In the
+    subcritical main regimes either q or c may be supplied and the other is
+    derived; supplying both raises :class:`DerivedCMismatch` when they
+    disagree beyond ``DERIVED_C_TOL``.  Fields not used by the regime must
+    be None (q in MAIN_SUPER, c outside the main regimes), so a PGF never
+    carries silently ignored numbers.  The numbers are stored as floats.
+    """
+
+    theta: float
+    a: float
+    c: float | None = None
+    q: float | None = None
+    r: float = 1.0
+    regime: Regime = field(init=False)
+
+    def __post_init__(self) -> None:
+        theta, a, c, q, r = self.theta, self.a, self.c, self.q, self.r
+        regime = _infer_regime(theta, a, r)
+        if regime.is_sub() and q is None:
+            _check(c is not None, "subcritical main regimes need q or c")
+            # Invert c = (1 - a) * (r - q)**(-theta) for q.
+            _check(_finite(c) and c > 0.0, f"cannot derive q from c = {c!r}")
+            try:
+                q = r - (c / (1.0 - a)) ** (-1.0 / theta)
+            except OverflowError:   # the power overflows: q would be -inf
+                raise RegimeViolation(
+                    f"c = {c!r} derives q = -inf for (theta={theta}, a={a}, r={r}); "
+                    "q must be >= 0") from None
+            if abs(q) <= 1e-15:
+                q = 0.0
+        theta, a, r = float(theta), float(a), float(r)
+        c = None if c is None else float(c)
+        q = None if q is None else float(q)
+        _check(c is None or _finite(c), f"c must be None or a finite number, got {c!r}")
+        if regime is Regime.MAIN_SUPER:
+            _check(c is not None and c > 0.0, f"MAIN_SUPER needs c > 0, got {c}")
+            _check(q is None, "MAIN_SUPER has no q parameter")
+        else:
+            _check_q(regime, q)
+            _check(c is None or regime.is_sub(), f"{regime.name} has no c parameter")
+        if regime.is_sub():
+            expected = derived_c(theta, a, q, r)
+            if c is None:
+                c = expected
+            elif not abs(c - expected) <= DERIVED_C_TOL * max(1.0, abs(expected)):
+                raise DerivedCMismatch(
+                    f"c = {c} disagrees with derived value {expected} for "
+                    f"(theta={theta}, a={a}, q={q}, r={r})")
+        for name, value in (("theta", theta), ("a", a), ("c", c), ("q", q), ("r", r),
+                            ("regime", regime)):
+            object.__setattr__(self, name, value)
 
     def eval_extended(self, z):
         """Evaluate the closed form without domain checks.
@@ -295,7 +279,11 @@ class ThetaPgf(_PgfBase):
         Valid for real z in [-1, 1] (kernel correlations) and complex z with
         |z| < 1 (contour extraction); PGFs map both regions into themselves.
         """
-        return _iterate_eval(self.params, 1, z)
+        return _iterate_eval(self, 1, z)
+
+
+#: The public constructor name; the class validates on construction.
+make_theta_pgf = ThetaPgf
 
 
 @dataclass(frozen=True)
@@ -384,11 +372,11 @@ def pgf_iterate_closed(f: ThetaPgf, n: int) -> ThetaPgf:
     """The n-fold self-composition of a theta PGF, again in theta form.
 
     Composition acts on parameters as a -> a**n with c accumulating the
-    geometric sum c * (1 + a + ... + a**(n-1)) in the main branch; in the
-    subcritical regimes this preserves the derived-c relation, and c_n is
-    taken from ``derived_c``, the value ThetaParams checks it against.  The
-    zero and minus-one branches also map a -> a**n.  Raises
-    NumericalInstability when the iterated parameters leave the float range;
+    geometric sum c * (1 + a + ... + a**(n-1)) in MAIN_SUPER.  In the
+    subcritical regimes it preserves the fixed point q, so the constructor
+    derives c_n from (theta, a**n, q, r); the zero and minus-one branches
+    also map a -> a**n.  Raises NumericalInstability when a_n or c_n leaves
+    the float range (a_n underflowing to 0 included), before construction;
     the kernel operations still evaluate such depths.
     """
     if not isinstance(f, ThetaPgf):
@@ -396,16 +384,15 @@ def pgf_iterate_closed(f: ThetaPgf, n: int) -> ThetaPgf:
     n = _order(n, "iteration depth", 1)
     if n == 1:
         return f
-    p = f.params
-    log_an, b_n = _iterated(p, n)
+    log_an, b_n = _iterated(f, n)
     with np.errstate(over="ignore"):
         a_n = float(np.exp(log_an))
-    c_n = derived_c(p.theta, a_n, p.q, p.r) if p.regime.is_sub() else b_n * a_n
-    if not (0.0 < a_n < math.inf and math.isfinite(c_n)):
+    c_n = b_n * a_n if f.regime is Regime.MAIN_SUPER else None
+    if not (0.0 < a_n < math.inf and (c_n is None or math.isfinite(c_n))):
         raise NumericalInstability(
-            f"iterated parameters leave the float range for a = {p.a}, n = {n}; "
+            f"iterated parameters leave the float range for a = {f.a}, n = {n}; "
             "use the kernel operations for deep or asymptotic values")
-    return ThetaPgf(ThetaParams(p.theta, a_n, None if p.c is None else c_n, p.q, p.r))
+    return ThetaPgf(f.theta, a_n, c_n, f.q, f.r)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +423,7 @@ def _power_series(A: np.ndarray, alpha: float, g0: float) -> np.ndarray:
     return g
 
 
-def theta_coefficients(params: ThetaParams | ThetaPgf, k_max: int) -> np.ndarray:
+def theta_coefficients(f: ThetaPgf, k_max: int) -> np.ndarray:
     """Series coefficients p_0 .. p_{k_max} from the closed form.
 
     Every branch but theta = -1 is f = r - g.  In the theta = 0 form g is
@@ -446,20 +433,19 @@ def theta_coefficients(params: ThetaParams | ThetaPgf, k_max: int) -> np.ndarray
     every order (subcritical seeds g_0 come from ``_pinned_power``).  Tiny
     negative rounding residues are clamped to zero.
     """
-    p = params.params if isinstance(params, ThetaPgf) else params
     k_max = _order(k_max, "k_max", 0)
-    if p.regime is Regime.MINUS_ONE:        # f = a * s + (1 - a) * q
-        return np.array([(1.0 - p.a) * p.q, p.a] + [0.0] * (k_max - 1))[:k_max + 1]
-    if p.regime.is_zero():
-        g = (p.r - p.q) ** (1.0 - p.a) * p.r ** p.a * _binomial_series(p.a, p.r, k_max)
+    if f.regime is Regime.MINUS_ONE:        # f = a * s + (1 - a) * q
+        return np.array([(1.0 - f.a) * f.q, f.a] + [0.0] * (k_max - 1))[:k_max + 1]
+    if f.regime.is_zero():
+        g = (f.r - f.q) ** (1.0 - f.a) * f.r ** f.a * _binomial_series(f.a, f.r, k_max)
     else:
-        A = p.a * p.r ** -p.theta * _binomial_series(-p.theta, p.r, k_max)
-        A[0] += p.c
-        g0 = (_pinned_power(p, math.log(p.a), 0.0)[0] if p.regime.is_sub()
-              else A[0] ** (-1.0 / p.theta))
-        g = _power_series(A, -1.0 / p.theta, g0)
+        A = f.a * f.r ** -f.theta * _binomial_series(-f.theta, f.r, k_max)
+        A[0] += f.c
+        g0 = (_pinned_power(f, math.log(f.a), 0.0)[0] if f.regime.is_sub()
+              else A[0] ** (-1.0 / f.theta))
+        g = _power_series(A, -1.0 / f.theta, g0)
     out = -g
-    out[0] = p.r - g[0]
+    out[0] = f.r - g[0]
     return np.maximum(out, 0.0)
 
 
@@ -477,36 +463,28 @@ def _extraction_radius(k_max: int) -> float:
     return min(0.95, max(0.5, math.exp(-6.0 / max(k_max, 1))))
 
 
-def series_coefficients(f: Pgf | Callable, k_max: int,
-                        radius: float | None = None,
-                        num_nodes: int | None = None) -> np.ndarray:
+def series_coefficients(f: Pgf | Callable, k_max: int) -> np.ndarray:
     """Extract series coefficients by discrete contour integration.
 
-    Evaluates f on a uniform grid of ``num_nodes`` points on the circle
-    |z| = radius and reads the coefficients off the discrete Fourier
-    transform.  This is the oracle used to cross-check the closed-form
-    coefficient formulas, so it deliberately shares no code with them.
+    Evaluates f on a uniform grid of max(64, 8 * k_max) points on the circle
+    |z| = radius, with the radius adapted to k_max, and reads the
+    coefficients off the discrete Fourier transform.  This is the oracle
+    used to cross-check the closed-form coefficient formulas, so it
+    deliberately shares no code with them.
 
     Args:
         f: anything with an ``eval_extended`` accepting complex arrays, or a
             bare callable.
         k_max: highest coefficient index to return.
-        radius: contour radius in (0, 1); default adapts to k_max.
-        num_nodes: grid size; default 8 * k_max (at least 64).
 
     Raises:
-        DomainError: for a radius outside (0, 1), or a node count that is
-            not an integer >= 4 * k_max.
         NumericalInstability: if an extracted coefficient is below -1e-8,
-            which signals a misconfigured radius or node count.
+            which signals that round-off, amplified by radius**(-k), swamps
+            the coefficients at this order.
     """
     k_max = _order(k_max, "k_max", 0)
-    if radius is None:
-        radius = _extraction_radius(k_max)
-    if not 0.0 < radius < 1.0:
-        raise DomainError(f"contour radius must lie in (0, 1), got {radius}")
-    num_nodes = _order(max(64, 8 * k_max) if num_nodes is None else num_nodes,
-                       "num_nodes", max(1, 4 * k_max))
+    radius = _extraction_radius(k_max)
+    num_nodes = max(64, 8 * k_max)
     evaluate = getattr(f, "eval_extended", f)
     nodes = radius * np.exp(2j * np.pi * np.arange(num_nodes) / num_nodes)
     values = np.asarray(evaluate(nodes), dtype=complex)
@@ -514,13 +492,14 @@ def series_coefficients(f: Pgf | Callable, k_max: int,
     coeffs = transform.real / radius ** np.arange(k_max + 1)
     if np.min(coeffs) < -1e-8:
         raise NumericalInstability(
-            f"extracted coefficient {coeffs.min():.3e} is significantly negative; "
-            "check the contour radius and node count")
+            f"extracted coefficient {coeffs.min():.3e} is significantly negative: "
+            f"round-off swamps the contour integral at k_max = {k_max}; "
+            "use a lower k_max")
     return np.maximum(coeffs, 0.0)
 
 
 def theta_pgf_to_series(f: ThetaPgf, k_max: int = DEFAULT_SERIES_K) -> SeriesPgf:
     """Truncate a theta PGF to a SeriesPgf with an honest tail bound."""
-    coeffs = theta_coefficients(f.params, k_max)
+    coeffs = theta_coefficients(f, k_max)
     eps_tail = max(0.0, f.mass() - float(np.sum(coeffs)))
     return SeriesPgf(coefficients=tuple(coeffs), eps_tail=eps_tail)

@@ -13,7 +13,7 @@ from thetakernels.errors import (DomainError, InvalidCoefficients,
                                  NumericalInstability, ThetaKernelError)
 from thetakernels.hermite import hermite_series
 from thetakernels.kernels import PureKernel
-from thetakernels.pgf import make_theta_pgf, series_coefficients
+from thetakernels.pgf import make_theta_pgf
 
 F = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
 K = PureKernel(F, 2)
@@ -39,10 +39,6 @@ def _with_nan_entry(name, call):
 
 @pytest.mark.parametrize("call, error", [
     (lambda: reference_activation("prelu(abc)"), DomainError),
-    (lambda: series_coefficients(F, 8, radius=1.0), DomainError),
-    (lambda: series_coefficients(F, 8, num_nodes=16), DomainError),
-    (lambda: series_coefficients(F, 8, num_nodes=40.5), DomainError),
-    (lambda: series_coefficients(F, 8, num_nodes=True), DomainError),
     (lambda: hermite_series([], 0.5), InvalidCoefficients),
     (lambda: gp.fit(K, X, [1.0, np.nan, 1.0]), DomainError),
     (lambda: gp.fit(K, X, [1.0, np.inf, 1.0]), DomainError),
@@ -51,8 +47,7 @@ def _with_nan_entry(name, call):
     (_with_nan_entry("gram", lambda model: gp.fit(K, X, Y)), NumericalInstability),
     (_with_nan_entry("cross_gram", lambda model: gp.predict(model, X)),
      NumericalInstability),
-], ids=["prelu-slope", "radius", "few-nodes", "fractional-nodes", "bool-nodes",
-        "empty-series", "gp-nan-target", "gp-inf-target", "gp-inf-noise",
+], ids=["prelu-slope", "empty-series", "gp-nan-target", "gp-inf-target", "gp-inf-noise",
         "gp-nan-noise", "gp-nan-gram", "gp-nan-cross-gram"])
 def test_typed_error(call, error):
     with pytest.raises(error) as info:

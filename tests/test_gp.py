@@ -87,6 +87,13 @@ class TestFit:
         assert np.array_equal(X, X_before)
         assert np.array_equal(y, y_before)
 
+    def test_model_owns_its_targets(self):
+        X, y = _training_set()
+        model = fit(_spec(), X, y, noise=0.01)
+        targets = model.targets.copy()
+        y[0] = 99.0
+        assert np.array_equal(model.targets, targets)
+
     def test_input_scale_invariance(self):
         X, y = _training_set()
         reference = fit(_spec(), X, y, noise=0.01)

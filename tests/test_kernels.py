@@ -240,8 +240,8 @@ class TestPureRepresentation:
 
     def test_average_parameter(self):
         g = cmixed_pure_representation(1.0, (0.2, 0.6), 2)
-        assert g.params.c == pytest.approx(0.4, abs=1e-15)
-        assert g.params.a == 1.0
+        assert g.c == pytest.approx(0.4, abs=1e-15)
+        assert g.a == 1.0
 
     def test_index_validation(self):
         with pytest.raises(IndexOutOfRange):
@@ -551,8 +551,8 @@ class TestSpecToPgf:
     def test_cmixed_collapse(self):
         collapsed = spec_to_pgf(CMixedKernel(0.5, (0.25, 0.5, 0.25)))
         assert isinstance(collapsed, ThetaPgf)
-        assert collapsed.params.a == 1.0
-        assert collapsed.params.c == pytest.approx(1.0, abs=1e-15)
+        assert collapsed.a == 1.0
+        assert collapsed.c == pytest.approx(1.0, abs=1e-15)
 
 
 class TestSphereCombinatorics:

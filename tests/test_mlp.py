@@ -49,9 +49,6 @@ class TestConfig:
         assert config.activation_at(0) is LINEAR
         assert config.activation_at(1) is RELU
 
-    def test_weight_count(self):
-        assert MlpConfig((2, 3, 1), RELU, 0).weight_count() == 9
-
     def test_validation(self):
         with pytest.raises(DomainError):
             MlpConfig(widths=(2, 1), activations=RELU, seed=0)

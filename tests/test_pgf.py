@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,11 +27,12 @@ from thetakernels.kernels import (
     kernel_at_rho,
     multiplicity,
 )
+from thetakernels import pgf
 from thetakernels.pgf import (
     ComposedPgf,
     Regime,
     SeriesPgf,
-    ThetaParams,
+    ThetaPgf,
     derived_c,
     make_theta_pgf,
     pgf_compose_sequence,
@@ -49,30 +51,46 @@ class TestRegimeValidation:
         rng = np.random.default_rng(100 + case)
         for _ in range(10):
             f = draw_case(case, rng)
-            assert isinstance(f.params.regime, Regime)
+            assert isinstance(f.regime, Regime)
 
     def test_regime_inference(self):
-        assert make_theta_pgf(theta=0.5, a=2.0, c=1.0).params.regime is Regime.MAIN_SUPER
-        assert make_theta_pgf(theta=0.5, a=0.5, q=0.2).params.regime is Regime.MAIN_SUB_1
-        assert make_theta_pgf(theta=-0.5, a=0.5, q=0.2, r=2.0).params.regime is Regime.MAIN_SUB_R
-        assert make_theta_pgf(theta=0.0, a=0.5, q=0.2).params.regime is Regime.ZERO_1
-        assert make_theta_pgf(theta=0.0, a=0.5, q=0.2, r=1.5).params.regime is Regime.ZERO_R
-        assert make_theta_pgf(theta=-1.0, a=0.5, q=0.2).params.regime is Regime.MINUS_ONE
+        assert make_theta_pgf(theta=0.5, a=2.0, c=1.0).regime is Regime.MAIN_SUPER
+        assert make_theta_pgf(theta=0.5, a=0.5, q=0.2).regime is Regime.MAIN_SUB_1
+        assert make_theta_pgf(theta=-0.5, a=0.5, q=0.2, r=2.0).regime is Regime.MAIN_SUB_R
+        assert make_theta_pgf(theta=0.0, a=0.5, q=0.2).regime is Regime.ZERO_1
+        assert make_theta_pgf(theta=0.0, a=0.5, q=0.2, r=1.5).regime is Regime.ZERO_R
+        assert make_theta_pgf(theta=-1.0, a=0.5, q=0.2).regime is Regime.MINUS_ONE
 
     def test_derived_c_formula(self):
         # theta=0.5, a=0.5, q=0.25: c = 0.5 * 0.75**-0.5
         f = make_theta_pgf(theta=0.5, a=0.5, q=0.25)
-        assert f.params.c == pytest.approx(0.5 * 0.75 ** -0.5, abs=1e-15)
+        assert f.c == pytest.approx(0.5 * 0.75 ** -0.5, abs=1e-15)
 
     def test_q_from_c_roundtrip(self):
         f = make_theta_pgf(theta=0.5, a=0.5, q=0.25)
-        g = make_theta_pgf(theta=0.5, a=0.5, c=f.params.c)
-        assert g.params.q == pytest.approx(0.25, abs=1e-14)
+        g = make_theta_pgf(theta=0.5, a=0.5, c=f.c)
+        assert g.q == pytest.approx(0.25, abs=1e-14)
 
     def test_supplying_both_consistent_ok(self):
         c = derived_c(0.5, 0.5, 0.25, 1.0)
         f = make_theta_pgf(theta=0.5, a=0.5, c=c, q=0.25)
-        assert f.params.q == 0.25
+        assert f.q == 0.25
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(theta=0.5, a=0.5, q=0.25),
+        dict(theta=0.5, a=0.5, c=0.6),
+        dict(theta=0.5, a=0.5, q=0.25, c=derived_c(0.5, 0.5, 0.25, 1.0)),
+        dict(theta=1, a=1, c=2),
+        dict(theta=0, a=0.5, q=0),
+    ])
+    def test_validated_once_and_stored_as_floats(self, kwargs):
+        assert make_theta_pgf is ThetaPgf
+        with mock.patch.object(pgf, "_infer_regime", wraps=pgf._infer_regime) as infer, \
+                mock.patch.object(pgf, "derived_c", wraps=pgf.derived_c) as derive:
+            f = ThetaPgf(**kwargs)
+        assert infer.call_count == 1
+        assert derive.call_count <= 1
+        assert all(type(v) is float for v in (f.theta, f.a, f.c, f.q, f.r) if v is not None)
 
     def test_derived_c_mismatch(self):
         with pytest.raises(DerivedCMismatch):
@@ -100,9 +118,9 @@ class TestRegimeValidation:
 
     def test_unused_fields_must_be_none(self):
         with pytest.raises(RegimeViolation):
-            ThetaParams(theta=1.0, a=2.0, c=1.0, q=0.5, r=1.0)
+            ThetaPgf(theta=1.0, a=2.0, c=1.0, q=0.5)
         with pytest.raises(RegimeViolation):
-            ThetaParams(theta=0.0, a=0.5, c=0.3, q=0.2, r=1.0)
+            ThetaPgf(theta=0.0, a=0.5, c=0.3, q=0.2)
 
     def test_non_finite_rejected(self):
         with pytest.raises(RegimeViolation):
@@ -190,7 +208,7 @@ class TestIterate:
     def test_single_step_is_identity(self):
         f = make_theta_pgf(theta=0.7, a=1.5, c=0.4)
         g = pgf_iterate_closed(f, 1)
-        assert g.params == f.params
+        assert g == f
 
     def test_two_fold_hand_value(self):
         f = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
@@ -218,13 +236,13 @@ class TestIterate:
         f = make_theta_pgf(theta=0.5, a=1.2, c=0.3)
         lhs = pgf_iterate_closed(f, m * n)
         rhs = pgf_iterate_closed(pgf_iterate_closed(f, m), n)
-        assert lhs.params.a == pytest.approx(rhs.params.a, rel=1e-12)
-        assert lhs.params.c == pytest.approx(rhs.params.c, rel=1e-12)
+        assert lhs.a == pytest.approx(rhs.a, rel=1e-12)
+        assert lhs.c == pytest.approx(rhs.c, rel=1e-12)
 
     def test_subcritical_keeps_fixed_point(self):
         f = make_theta_pgf(theta=0.5, a=0.5, q=0.25)
         g = pgf_iterate_closed(f, 7)
-        assert g.params.q == 0.25
+        assert g.q == 0.25
         assert g.eval(0.25) == pytest.approx(0.25, abs=1e-12)
 
     def test_depth_validation(self):
@@ -297,7 +315,7 @@ class TestCoefficients:
             f = draw_case(case, np.random.default_rng(700 + case))
         with mpmath.workdps(120):
             theta, a, c, r = (mpmath.mpf(v) for v in
-                              (f.params.theta, f.params.a, f.params.c, f.params.r))
+                              (f.theta, f.a, f.c, f.r))
             g = a + c * r ** theta
             x = c * r ** theta / g
             prefac = a / g ** ((1 + theta) / theta)
@@ -351,12 +369,13 @@ class TestSeriesExtraction:
         assert out[0] == pytest.approx(0.5, abs=1e-13)
         assert out[1] == pytest.approx(0.25, abs=1e-13)
 
-    def test_fixed_small_radius_unstable_at_high_order(self):
-        # eps / 0.5**40 is about 1e-4: the roundoff floor exceeds the
-        # negativity guard, which is exactly what the guard is for.
-        f = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
+    def test_negativity_guard_at_high_order(self):
+        # At the default contour the round-off floor, amplified by
+        # radius**-k, exceeds the guard at order 512 but not at 384.
+        f = make_theta_pgf(theta=0.5, a=1.5, c=0.3)
+        assert np.all(series_coefficients(f, 384) >= 0.0)
         with pytest.raises(NumericalInstability):
-            series_coefficients(f, 40, radius=0.5)
+            series_coefficients(f, 512)
 
     def test_adaptive_radius_accurate_at_high_order(self):
         f = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
@@ -365,10 +384,6 @@ class TestSeriesExtraction:
 
     def test_parameter_validation(self):
         f = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
-        with pytest.raises(ValueError):
-            series_coefficients(f, 8, radius=1.0)
-        with pytest.raises(ValueError):
-            series_coefficients(f, 8, num_nodes=16)
         with pytest.raises(ValueError):
             series_coefficients(f, -2)
 

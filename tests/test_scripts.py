@@ -25,13 +25,17 @@ RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_script_runs(tmp_path, name):
+def _load(name: str):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_script_runs(tmp_path, name):
     args, outputs = RUNS[name]
-    assert module.main(["--out-dir", str(tmp_path)] + args) == 0
+    assert _load(name).main(["--out-dir", str(tmp_path)] + args) == 0
     for output, header in outputs.items():
         lines = (tmp_path / output).read_text().splitlines()
         assert lines[0] == header
@@ -39,20 +43,10 @@ def test_script_runs(tmp_path, name):
 
 
 def test_depth_limits_caps_depths(tmp_path):
-    spec = importlib.util.spec_from_file_location("depth_limits", SCRIPTS / "depth_limits.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert module.main(["--out-dir", str(tmp_path), "--max-depth", "8"]) == 0
+    assert _load("depth_limits").main(["--out-dir", str(tmp_path), "--max-depth", "8"]) == 0
     with (tmp_path / "depth_profiles.csv").open(newline="") as handle:
         depths = {int(row["depth"]) for row in csv.DictReader(handle)}
     assert depths == {1, 2, 4, 8}
-
-
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _result_line(time_s: float, failed: int = 0) -> dict:
