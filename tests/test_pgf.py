@@ -314,8 +314,7 @@ class TestCoefficients:
         else:
             f = draw_case(case, np.random.default_rng(700 + case))
         with mpmath.workdps(120):
-            theta, a, c, r = (mpmath.mpf(v) for v in
-                              (f.theta, f.a, f.c, f.r))
+            theta, a, c, r = (mpmath.mpf(v) for v in (f.theta, f.a, f.c, f.r))
             g = a + c * r ** theta
             x = c * r ** theta / g
             prefac = a / g ** ((1 + theta) / theta)
