@@ -89,7 +89,16 @@ class HermiteSeriesActivation:
 
 @dataclass(frozen=True)
 class ReferenceActivation:
-    """phi(x) = scale * (x if x > 0 else slope * x), with E[phi(X)^2] = 1."""
+    """phi(x) = scale * (x if x > 0 else slope * x), with E[phi(X)^2] = 1.
+
+    Evaluated in three passes over one output array: slope * x, then the
+    larger of that and x (the smaller for slope > 1), then times scale.  On
+    finite input and NaN this is bit for bit scale * where(x > 0, x,
+    slope * x), except that a zero keeps its sign at every slope (the
+    select form flipped it at negative slopes; relu(-0.0) is -0.0 in both).
+    phi(+inf) = +inf, and phi(-inf) is slope * scale * (-inf) for slope != 0
+    and -inf for relu.  Scalars return a float.
+    """
 
     name: str
     slope: float
@@ -97,7 +106,9 @@ class ReferenceActivation:
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
-        out = self.scale * np.where(arr > 0.0, arr, self.slope * arr)
+        out = np.multiply(self.slope, arr, out=np.empty(arr.shape))
+        (np.fmin if self.slope > 1.0 else np.fmax)(out, arr, out=out)
+        out *= self.scale
         return float(out) if arr.ndim == 0 else out
 
 

@@ -39,6 +39,7 @@ coefficient oracle integrates the evaluated PGF over a contour.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence, Union
@@ -105,7 +106,9 @@ def _check(cond: bool, message: str) -> None:
 
 
 def _finite(value) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value)
+    """A finite real number, Python or numpy; bools are not numbers here."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _infer_regime(theta: float, a: float, r: float) -> Regime:
@@ -226,7 +229,8 @@ class ThetaPgf(_PgfBase):
     derived; supplying both raises :class:`DerivedCMismatch` when they
     disagree beyond ``DERIVED_C_TOL``.  Fields not used by the regime must
     be None (q in MAIN_SUPER, c outside the main regimes), so a PGF never
-    carries silently ignored numbers.  The numbers are stored as floats.
+    carries silently ignored numbers.  Each number may be a Python or numpy
+    real (bools are refused) and is stored as a float.
     """
 
     theta: float
@@ -239,10 +243,16 @@ class ThetaPgf(_PgfBase):
     def __post_init__(self) -> None:
         theta, a, c, q, r = self.theta, self.a, self.c, self.q, self.r
         regime = _infer_regime(theta, a, r)
+        for name, value in (("c", c), ("q", q)):
+            _check(value is None or _finite(value),
+                   f"{name} must be None or a finite number, got {value!r}")
+        theta, a, r = float(theta), float(a), float(r)
+        c = None if c is None else float(c)
+        q = None if q is None else float(q)
         if regime.is_sub() and q is None:
             _check(c is not None, "subcritical main regimes need q or c")
             # Invert c = (1 - a) * (r - q)**(-theta) for q.
-            _check(_finite(c) and c > 0.0, f"cannot derive q from c = {c!r}")
+            _check(c > 0.0, f"cannot derive q from c = {c!r}")
             try:
                 q = r - (c / (1.0 - a)) ** (-1.0 / theta)
             except OverflowError:   # the power overflows: q would be -inf
@@ -251,10 +261,6 @@ class ThetaPgf(_PgfBase):
                     "q must be >= 0") from None
             if abs(q) <= 1e-15:
                 q = 0.0
-        theta, a, r = float(theta), float(a), float(r)
-        c = None if c is None else float(c)
-        q = None if q is None else float(q)
-        _check(c is None or _finite(c), f"c must be None or a finite number, got {c!r}")
         if regime is Regime.MAIN_SUPER:
             _check(c is not None and c > 0.0, f"MAIN_SUPER needs c > 0, got {c}")
             _check(q is None, "MAIN_SUPER has no q parameter")

@@ -32,6 +32,12 @@ def _relu_closed_form(s: float) -> float:
     return (math.sqrt(1.0 - s * s) + s * (math.pi - math.acos(s))) / math.pi
 
 
+_PARITY_CASES = [("relu", None), ("linear", None), ("prelu", 0.25), ("prelu", -0.5),
+                 ("prelu", 2.5)]
+_PARITY_GRID = np.array([-1e308, -5.0, -1.0, -0.3, -5e-324, -0.0, 0.0, 5e-324,
+                         0.3, 1.0, 5.0, 1e308, math.nan])
+
+
 class TestReferenceActivation:
     def test_relu_values(self):
         relu = reference_activation("relu")
@@ -80,6 +86,51 @@ class TestReferenceActivation:
         out = relu(np.array([-1.0, 0.0, 1.0]))
         assert out.shape == (3,)
         assert out[0] == 0.0 and out[1] == 0.0
+
+    @pytest.mark.parametrize("name,slope", _PARITY_CASES)
+    def test_matches_select_form(self, name, slope):
+        # scale * where(x > 0, x, slope * x), the form this evaluation
+        # replaced, bit for bit on finite inputs and NaN, contiguous, strided
+        # and scalar; the zeros are pinned by the next test
+        act = reference_activation(name, slope)
+        rng = np.random.default_rng(12)
+        grid = np.concatenate([_PARITY_GRID, rng.standard_normal(64),
+                               1e300 * rng.standard_normal(8)])
+        pairs = np.empty((grid.size, 2))
+        pairs[:, 1] = grid
+        with np.errstate(over="ignore"):
+            expected = act.scale * np.where(grid > 0.0, grid, act.slope * grid)
+            got = {"contiguous": act(grid), "strided": act(pairs[:, 1]),
+                   "scalar": np.array([act(float(x)) for x in grid])}
+            assert all(type(act(float(x))) is float for x in grid)
+        nonzero = grid != 0.0
+        for layout, out in got.items():
+            assert [x.hex() for x in out[nonzero].tolist()] == \
+                [x.hex() for x in expected[nonzero].tolist()], layout
+
+    @pytest.mark.parametrize("name,slope", _PARITY_CASES)
+    def test_zero_keeps_its_sign(self, name, slope):
+        # the select form gave -0.0 for +0.0 (and +0.0 for -0.0) at negative
+        # slopes; relu(-0.0) stays -0.0, as the CLI prints it
+        act = reference_activation(name, slope)
+        for x in (-0.0, 0.0):
+            assert act(x) == 0.0
+            assert math.copysign(1.0, act(x)) == math.copysign(1.0, x)
+            assert math.copysign(1.0, act(np.array([x]))[0]) == math.copysign(1.0, x)
+
+    @pytest.mark.parametrize("name,slope,at_minus_inf", [
+        ("relu", None, -math.inf),          # the select form gave NaN here
+        ("linear", None, -math.inf),
+        ("prelu", 0.25, -math.inf),
+        ("prelu", -0.5, math.inf),
+        ("prelu", 2.5, -math.inf),
+    ])
+    def test_infinities(self, name, slope, at_minus_inf):
+        act = reference_activation(name, slope)
+        with np.errstate(invalid="ignore"):
+            assert act(math.inf) == math.inf
+            assert act(-math.inf) == at_minus_inf
+            assert act(np.array([-math.inf, math.inf])).tolist() == [at_minus_inf, math.inf]
 
 
 class TestSeriesActivation:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,60 @@ class TestEmpiricalKernel:
         fine = empirical_kernel(config, x, z, 1600)
         ratio = coarse.standard_error / fine.standard_error
         assert 1.4 < ratio < 2.7
+
+
+# float.hex of (value, standard_error) for two-layer networks at 512
+# samples, x = e_1 and z at correlation rho, seed 41 + the config's index.
+# A change to the Philox keys, the chunking, the pair mixing or the
+# activation arithmetic shows here as a changed bit.
+_PINNED_CONFIGS = {
+    "relu": RELU,
+    "linear-relu": (LINEAR, RELU),
+    "prelu(0.25)": reference_activation("prelu(0.25)"),
+    "prelu(-0.5)": reference_activation("prelu(-0.5)"),
+}
+_PINNED_ESTIMATES = [
+    ("relu", 64, 0.0, "0x1.feeda749cebd6p-2", "0x1.4ba76c6321b77p-8"),
+    ("relu", 64, 0.9, "0x1.d570b37a544dcp-1", "0x1.df13362d466f4p-10"),
+    ("relu", 1024, 0.0, "0x1.fa0c442aff6dcp-2", "0x1.474bf2c78be3ap-10"),
+    ("relu", 1024, 0.9, "0x1.d5ff8feef1c76p-1", "0x1.b1508d320702bp-12"),
+    ("linear-relu", 64, 0.0, "0x1.475efef48b860p-2", "0x1.38cd92915eeb6p-8"),
+    ("linear-relu", 64, 0.9, "0x1.d07b38ea6e030p-1", "0x1.cbdff59bafb47p-10"),
+    ("linear-relu", 1024, 0.0, "0x1.487cdf5c3e768p-2", "0x1.4f7606ba9117bp-10"),
+    ("linear-relu", 1024, 0.9, "0x1.d20f4a2345280p-1", "0x1.a7b91f814a5d6p-12"),
+    ("prelu(0.25)", 64, 0.0, "0x1.33f82d87cd5b7p-2", "0x1.a40ecfc9aa9d2p-8"),
+    ("prelu(0.25)", 64, 0.9, "0x1.d015c1beba22bp-1", "0x1.e977156c88ae7p-10"),
+    ("prelu(0.25)", 1024, 0.0, "0x1.2f0fdfb2c3c3dp-2", "0x1.8c194db9299b5p-10"),
+    ("prelu(0.25)", 1024, 0.9, "0x1.d19e90266af8dp-1", "0x1.b989f6c15643dp-12"),
+    ("prelu(-0.5)", 64, 0.0, "0x1.77b8b79f20910p-1", "0x1.78316e760420ep-9"),
+    ("prelu(-0.5)", 64, 0.9, "0x1.db05f765ed8c6p-1", "0x1.2d36ee6093254p-10"),
+    ("prelu(-0.5)", 1024, 0.0, "0x1.75046b8907020p-1", "0x1.66900ca94b234p-11"),
+    ("prelu(-0.5)", 1024, 0.9, "0x1.dc0835e3d74a7p-1", "0x1.2c6657261e5b3p-12"),
+]
+
+
+@pytest.mark.parametrize("name,width,rho,value,se", _PINNED_ESTIMATES)
+def test_estimate_bits_are_pinned(name, width, rho, value, se):
+    seed = 41 + list(_PINNED_CONFIGS).index(name)
+    config = MlpConfig(widths=(2, width, width, 1), activations=_PINNED_CONFIGS[name],
+                       seed=seed)
+    est = empirical_kernel(config, [1.0, 0.0], [rho, math.sqrt(1.0 - rho * rho)], 512)
+    assert (est.value.hex(), est.standard_error.hex()) == (value, se)
+
+
+def test_chunk_memory_peak(monkeypatch):
+    # One 256-sample chunk of a two-layer rectifier at width 1024 holds the
+    # layer's (256, width, 2) draw and both activated arrays while the next
+    # layer draws: six (256, width) arrays, with nothing else that size.
+    monkeypatch.setenv("THETA_KERNELS_THREADS", "1")
+    config = MlpConfig(widths=(2, 1024, 1024, 1), activations=RELU, seed=3)
+    tracemalloc.start()
+    try:
+        empirical_kernel(config, [1.0, 0.0], [0.6, 0.8], 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * 256 * 1024 * 8, f"peak {peak / (256 * 1024 * 8):.2f} arrays"
 
 
 class TestReferenceValue:

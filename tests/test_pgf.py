@@ -128,6 +128,41 @@ class TestRegimeValidation:
         with pytest.raises(RegimeViolation):
             make_theta_pgf(theta=1.0, a=math.inf, c=1.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(theta=1, a=1, c=1),
+        dict(theta=0.5, a=0.5, q=0.3),
+        dict(theta=0.5, a=0.5, c=0.6),
+        dict(theta=-0.5, a=0.5, q=0.2, r=2),
+        dict(theta=0, a=0.5, q=0.2),
+        dict(theta=-1, a=0.5, q=0.2),
+    ])
+    @pytest.mark.parametrize("scalar", [np.float64, np.float32, np.int64])
+    def test_numpy_scalars_accepted(self, kwargs, scalar):
+        # each number given as a numpy scalar builds the PGF its float builds
+        for name, value in kwargs.items():
+            if scalar is np.int64 and value != int(value):
+                continue
+            wrapped = scalar(value)
+            f = ThetaPgf(**{**kwargs, name: wrapped})
+            assert f == ThetaPgf(**{**kwargs, name: float(wrapped)})
+            assert all(type(v) is float for v in (f.theta, f.a, f.c, f.q, f.r)
+                       if v is not None)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(theta=True, a=1.0, c=1.0),
+        dict(theta=1.0, a=True, c=1.0),
+        dict(theta=1.0, a=1.0, c=True),
+        dict(theta=0.5, a=0.5, c=np.True_),
+        dict(theta=0.5, a=0.5, q=False),
+        dict(theta=0.0, a=0.5, q=np.False_),
+        dict(theta=0.5, a=0.5, q=0.3, r=True),
+        dict(theta=np.bool_(True), a=1.0, c=1.0),
+        dict(theta="0.5", a=0.5, q=0.3),
+    ])
+    def test_bools_and_strings_rejected(self, kwargs):
+        with pytest.raises(RegimeViolation, match="finite number"):
+            make_theta_pgf(**kwargs)
+
 
 class TestEval:
     def test_hand_values_critical(self):
