@@ -107,8 +107,11 @@ def _check(cond: bool, message: str) -> None:
 
 def _finite(value) -> bool:
     """A finite real number, Python or numpy; bools are not numbers here."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:   # a Python int beyond the float range
+        return False
 
 
 def _infer_regime(theta: float, a: float, r: float) -> Regime:

@@ -89,9 +89,9 @@ class TestReferenceActivation:
 
     @pytest.mark.parametrize("name,slope", _PARITY_CASES)
     def test_matches_select_form(self, name, slope):
-        # scale * where(x > 0, x, slope * x), the form this evaluation
-        # replaced, bit for bit on finite inputs and NaN, contiguous, strided
-        # and scalar; the zeros are pinned by the next test
+        # the select form scale * where(x > 0, x, slope * x) is the
+        # reference, bit for bit on finite inputs and NaN, contiguous,
+        # strided and scalar; the zeros are pinned by the next test
         act = reference_activation(name, slope)
         rng = np.random.default_rng(12)
         grid = np.concatenate([_PARITY_GRID, rng.standard_normal(64),
@@ -100,9 +100,10 @@ class TestReferenceActivation:
         pairs[:, 1] = grid
         with np.errstate(over="ignore"):
             expected = act.scale * np.where(grid > 0.0, grid, act.slope * grid)
+            scalars = [act(float(x)) for x in grid]
             got = {"contiguous": act(grid), "strided": act(pairs[:, 1]),
-                   "scalar": np.array([act(float(x)) for x in grid])}
-            assert all(type(act(float(x))) is float for x in grid)
+                   "scalar": np.array(scalars)}
+        assert all(type(v) is float for v in scalars)
         nonzero = grid != 0.0
         for layout, out in got.items():
             assert [x.hex() for x in out[nonzero].tolist()] == \

@@ -330,6 +330,9 @@ def test_chunk_memory_peak(monkeypatch):
     # layer draws: six (256, width) arrays, with nothing else that size.
     monkeypatch.setenv("THETA_KERNELS_THREADS", "1")
     config = MlpConfig(widths=(2, 1024, 1024, 1), activations=RELU, seed=3)
+    # numpy imports numpy.random on first use; that is not the chunk's memory
+    empirical_kernel(MlpConfig(widths=(2, 64, 1), activations=RELU, seed=3),
+                     [1.0, 0.0], [0.6, 0.8], 256)
     tracemalloc.start()
     try:
         empirical_kernel(config, [1.0, 0.0], [0.6, 0.8], 256)

@@ -158,8 +158,10 @@ class TestRegimeValidation:
         dict(theta=0.5, a=0.5, q=0.3, r=True),
         dict(theta=np.bool_(True), a=1.0, c=1.0),
         dict(theta="0.5", a=0.5, q=0.3),
+        dict(theta=1, a=10 ** 400, c=1),
+        dict(theta=0.5, a=0.5, c=10 ** 400),
     ])
-    def test_bools_and_strings_rejected(self, kwargs):
+    def test_only_finite_reals_accepted(self, kwargs):
         with pytest.raises(RegimeViolation, match="finite number"):
             make_theta_pgf(**kwargs)
 
