@@ -34,6 +34,7 @@ from .errors import (
     DomainError,
     InvalidCoefficients,
     NotSquareIntegrableWithinBudget,
+    NumericalInstability,
     _order,
 )
 from .hermite import (
@@ -55,6 +56,8 @@ __all__ = [
     "bivariate_expectation",
 ]
 
+#: Gauss-Hermite nodes for projecting a callable that is not a series or
+#: reference form; series bivariates size their rule to k_max instead.
 _QUAD_NODES = 200
 
 _REFERENCE_SLOPES = {"relu": 0.0, "linear": 1.0}
@@ -199,7 +202,13 @@ def activation_to_pgf(act: Activation, k_max: int = DEFAULT_SERIES_K) -> np.ndar
 
 
 def _series_bivariate(act: HermiteSeriesActivation, s: float) -> float:
-    t, w = gauss_hermite_rule(max(_QUAD_NODES, act.k_max + 1))
+    try:
+        t, w = gauss_hermite_rule(act.k_max + 1)
+    except NumericalInstability:
+        raise NumericalInstability(
+            f"series activation of order k_max = {act.k_max} needs a "
+            f"{act.k_max + 1}-node Gauss-Hermite rule, which numpy cannot build; "
+            "bivariate_expectation supports k_max <= 369") from None
     if abs(s) == 1.0:
         return float(np.sum(w * act(t) * act(math.copysign(1.0, s) * t)))
     beta = math.sqrt(1.0 - s * s)
@@ -232,11 +241,11 @@ def bivariate_expectation(act: Activation, s: float) -> float:
 
     Computed by quadrature over the representation Z = s X + sqrt(1 - s^2) Y
     with Y independent of X: a tensor Gauss-Hermite rule for series forms,
-    with max(200, k_max + 1) nodes so it is exact for the product's degree
-    2 * k_max (NumericalInstability from k_max 370, where numpy's rule
-    fails), and for reference forms the Y-integral done in closed form
-    (conditional mean of the positive part) followed by a smooth half-line
-    rule.  Shares no code with the series identity sum_k p_k s^k, which is
+    with k_max + 1 nodes per axis, the smallest rule exact for
+    phi(x) phi(s x + beta y), of degree 2 * k_max in x and k_max in y
+    (NumericalInstability beyond k_max 369, where numpy's rule fails), and
+    for reference forms the Y-integral done in closed form (conditional
+    mean of the positive part) followed by a smooth half-line rule.  Shares no code with the series identity sum_k p_k s^k, which is
     what tests compare it against.
     """
     s = float(s)

@@ -377,8 +377,12 @@ def multiplicity(m: int, k: int) -> int:
     (the constant harmonic; the printed formula has k in a denominator).
     Needs m >= 3; the binomial degenerates at m = 2, not supported.
     """
-    m = _order(m, "dimension m", 3, DimensionUnsupported)
-    k = _order(k, "degree", 0)
+    return _multiplicity(_order(m, "dimension m", 3, DimensionUnsupported),
+                         _order(k, "degree", 0))
+
+
+def _multiplicity(m: int, k: int) -> int:
+    """``multiplicity`` for an int m >= 3 and an int k >= 0, unchecked."""
     if k == 0:
         return 1
     numerator = (2 * k + m - 2) * math.comb(k + m - 3, k - 1)
@@ -418,7 +422,7 @@ def eigensystem(spec: KernelSpec, m: int, k_max: int) -> Eigensystem:
     """
     k_max = _order(k_max, "k_max", 0)
     m = _order(m, "dimension m", 3, DimensionUnsupported)
-    mults = [multiplicity(m, k) for k in range(k_max + 1)]
+    mults = [_multiplicity(m, k) for k in range(k_max + 1)]
     p = series_coefficients(_kernel_evaluator(spec), k_max)
     surf = surface_area(m)
     lambdas = [surf * float(pk) / mult for pk, mult in zip(p, mults)]

@@ -421,15 +421,22 @@ def _power_series(A: np.ndarray, alpha: float, g0: float) -> np.ndarray:
     g' * A = alpha * A' * g:
 
         k * A[0] * g[k] = sum_{j=1}^{k} ((alpha + 1) * j - k) * A[j] * g[k-j].
+
+    g is stored reversed (g[k] at rev[n - 1 - k]), so each order's tail
+    g[k-1], ..., g[0] is the contiguous slice rev[n - k:].  A reversed view
+    of g in natural order has a negative stride, which np.dot copies before
+    calling BLAS; the slice reaches the same ddot with the same values in
+    the same order, so the bits do not change.
     """
-    g = np.empty_like(A)
-    g[0] = g0
-    jA = np.arange(len(A)) * A
-    for k in range(1, len(A)):
-        tail = g[k - 1::-1]
-        g[k] = ((alpha + 1.0) * np.dot(jA[1:k + 1], tail)
-                - k * np.dot(A[1:k + 1], tail)) / (k * A[0])
-    return g
+    n = len(A)
+    rev = np.empty_like(A)
+    rev[n - 1] = g0
+    jA = np.arange(n) * A
+    for k in range(1, n):
+        tail = rev[n - k:]
+        rev[n - 1 - k] = ((alpha + 1.0) * np.dot(jA[1:k + 1], tail)
+                          - k * np.dot(A[1:k + 1], tail)) / (k * A[0])
+    return rev[::-1]
 
 
 def theta_coefficients(f: ThetaPgf, k_max: int) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from thetakernels import activations
 from thetakernels.activations import (
     HermiteSeriesActivation,
     ReferenceActivation,
@@ -21,7 +22,7 @@ from thetakernels.errors import (
     NotSquareIntegrableWithinBudget,
     NumericalInstability,
 )
-from thetakernels.hermite import half_gaussian_rule, hermite_design
+from thetakernels.hermite import gauss_hermite_rule, half_gaussian_rule, hermite_design
 from thetakernels.pgf import make_theta_pgf, theta_coefficients
 
 from conftest import ALL_CASES, draw_case
@@ -301,10 +302,30 @@ class TestBivariate:
             series_sum = float(np.polyval(p[::-1], s))
             assert bivariate_expectation(act, s) == pytest.approx(series_sum, abs=1e-13)
 
+    @pytest.mark.parametrize("theta", [-0.5, 0.5])
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 7, 30, 64, 150])
+    def test_series_exact_with_smallest_rule(self, theta, k_max, monkeypatch):
+        # phi(x) phi(s x + beta y) has degree 2 * k_max in x and k_max in y,
+        # so k_max + 1 nodes are exact; a larger rule would only add work
+        asked = []
+
+        def spy(num_nodes):
+            asked.append(num_nodes)
+            return gauss_hermite_rule(num_nodes)
+
+        monkeypatch.setattr(activations, "gauss_hermite_rule", spy)
+        p = theta_coefficients(make_theta_pgf(theta=theta, a=0.5, q=0.3), k_max)
+        act = activation_from_coefficients(p)
+        correlations = (-1.0, -0.95, -0.3, 0.0, 0.5, 0.95, 1.0)
+        for s in correlations:
+            series_sum = math.fsum(pk * s ** k for k, pk in enumerate(p.tolist()))
+            assert bivariate_expectation(act, s) == pytest.approx(series_sum, abs=1e-13)
+        assert asked == [k_max + 1] * len(correlations)
+
     def test_series_beyond_hermite_rule_raises(self):
         # k_max 370 needs 371 nodes, where numpy's weights are all zero
         p = theta_coefficients(make_theta_pgf(theta=-0.5, a=0.5, q=0.3), 370)
-        with pytest.raises(NumericalInstability):
+        with pytest.raises(NumericalInstability, match=r"k_max = 370 .* k_max <= 369"):
             bivariate_expectation(activation_from_coefficients(p), 0.5)
 
     def test_domain(self):

@@ -588,6 +588,12 @@ class TestEigensystem:
             assert system.lambdas[k] == pytest.approx(
                 surf * p[k] / (2 * k + 1), rel=1e-10, abs=1e-12)
 
+    @pytest.mark.parametrize("m", [3, 4, 10])
+    def test_multiplicities_match_public_formula(self, m):
+        system = eigensystem(PureKernel(make_theta_pgf(theta=1.0, a=1.0, c=1.0), 1), m, 64)
+        assert system.multiplicities == tuple(multiplicity(m, k) for k in range(65))
+        assert all(type(r) is int for r in system.multiplicities)
+
     def test_sum_rule(self):
         f = make_theta_pgf(theta=0.5, a=0.5, q=0.3)
         system = eigensystem(PureKernel(f, 1), 10, 30)

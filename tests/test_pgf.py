@@ -383,6 +383,32 @@ class TestCoefficients:
             assert p.sum() <= 1.0 + 1e-10
             assert p.sum() <= f.mass() + 1e-10
 
+    @pytest.mark.parametrize("case", (1, 2, 3, 5, 7, 9))
+    def test_power_recurrence_bits_pinned(self, case, monkeypatch):
+        """The power recurrence against a verbatim copy of its strided form.
+
+        The reference reads each order's tail through a reversed view of g;
+        the library may lay g out differently but must give the same bits.
+        """
+        def reference(A, alpha, g0):
+            g = np.empty_like(A)
+            g[0] = g0
+            jA = np.arange(len(A)) * A
+            for k in range(1, len(A)):
+                tail = g[k - 1::-1]
+                g[k] = ((alpha + 1.0) * np.dot(jA[1:k + 1], tail)
+                        - k * np.dot(A[1:k + 1], tail)) / (k * A[0])
+            return g
+
+        rng = np.random.default_rng(900 + case)
+        for f in [draw_case(case, rng) for _ in range(3)]:
+            for k_max in (64, 160, 512):
+                p = theta_coefficients(f, k_max)
+                with monkeypatch.context() as patch:
+                    patch.setattr(pgf, "_power_series", reference)
+                    expected = theta_coefficients(f, k_max)
+                assert np.array_equal(p, expected)
+
     def test_kmax_zero(self):
         f = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
         assert theta_coefficients(f, 0).shape == (1,)
