@@ -245,8 +245,9 @@ def bivariate_expectation(act: Activation, s: float) -> float:
     phi(x) phi(s x + beta y), of degree 2 * k_max in x and k_max in y
     (NumericalInstability beyond k_max 369, where numpy's rule fails), and
     for reference forms the Y-integral done in closed form (conditional
-    mean of the positive part) followed by a smooth half-line rule.  Shares no code with the series identity sum_k p_k s^k, which is
-    what tests compare it against.
+    mean of the positive part) followed by a smooth half-line rule.  Shares
+    no code with the series identity sum_k p_k s^k, which is what tests
+    compare it against.
     """
     s = float(s)
     if not -1.0 <= s <= 1.0:
