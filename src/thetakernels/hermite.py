@@ -105,9 +105,10 @@ def gauss_hermite_rule(num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def half_gaussian_rule() -> tuple[np.ndarray, np.ndarray]:
     """Quadrature for integral_0^inf g(t) phi(t) dt with phi the N(0,1) density.
 
-    Gauss-Legendre on [0, 13] with the density folded into the weights.
-    Useful for integrands that are smooth on the half-line but kinked at 0,
-    where a full-line Hermite rule loses its convergence rate.
+    Gauss-Legendre on [0, 13] with the density folded into the weights, for
+    integrands smooth on the half-line but kinked at 0, where a full-line
+    Hermite rule loses its rate.  The library uses closed forms there; this
+    rule is the independent oracle that tests hold them against.
     """
     points, weights = np.polynomial.legendre.leggauss(_HALF_RANGE_NODES)
     t = 0.5 * _HALF_RANGE_CUTOFF * (points + 1.0)

@@ -7,8 +7,8 @@ The field is the norm-regulated MLP
 
 with all weights i.i.d. standard Gaussian.  As the hidden widths grow, the
 covariance E[output(x)_i output(z)_i] converges to the compositional kernel
-built from the per-layer activations' PGF coefficients; this module produces
-the Monte Carlo side of that comparison.
+built from the per-layer activations' duals; this module produces the Monte
+Carlo side of that comparison and the limit it is compared with.
 
 Weight randomness comes from counter-based Philox substreams (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC 2011).  ``empirical_kernel``
@@ -59,7 +59,7 @@ from typing import Sequence, Union, get_args
 
 import numpy as np
 
-from .activations import Activation, HermiteSeriesActivation, activation_to_pgf
+from .activations import Activation, _dual
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -67,8 +67,7 @@ from .errors import (
     ZeroVector,
     _order,
 )
-from .kernels import MixedKernel, _unit, correlation, kernel_at_rho
-from .pgf import SeriesPgf
+from .kernels import _unit, correlation
 
 __all__ = [
     "MlpConfig",
@@ -81,7 +80,6 @@ __all__ = [
 ]
 
 _CHUNK = 256
-_REFERENCE_K_MAX = 128
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,7 @@ class MlpConfig:
                     f"got {len(self.activations)}")
         for layer in range(self.num_layers):
             act = self.activation_at(layer)
-            # reference_kernel_value needs each layer's exact E[phi^2].
+            # reference_kernel_value needs each layer's exact dual.
             if not isinstance(act, get_args(Activation)):
                 raise DomainError("activations must be HermiteSeriesActivation or "
                                   f"ReferenceActivation, got {act!r}")
@@ -279,25 +277,25 @@ def empirical_kernel(config: MlpConfig, x: Sequence[float], z: Sequence[float],
                           num_samples=num_samples, width_profile=config.widths)
 
 
-def reference_kernel_value(config: MlpConfig, rho0: float,
-                           k_max: int = _REFERENCE_K_MAX) -> float:
+def reference_kernel_value(config: MlpConfig, rho0: float) -> float:
     """Infinite-width kernel for the config's activations at correlation rho0.
 
-    Each layer's activation is converted to its PGF coefficients, divided by
-    the exact E[phi^2] (1 for reference forms, sum a_k^2 for series) as the
-    layer norm does, and the truncated series are composed innermost-first.
+    Each layer divides by its norm, so innermost first rho <- dual(rho) /
+    dual(1), with dual(s) = E[phi(X) phi(Z)] the activation's exact dual
+    (Daniely, Frostig and Singer, NIPS 2016), clipped to [-1, 1] against
+    round-off (prelu(-0.5)'s dual(1) reads 1 + 2^-52).  An identically
+    zero activation raises ZeroNormLayer.
     """
-    factors = []
+    rho = float(rho0)
+    if not -1.0 <= rho <= 1.0:
+        raise DomainError(f"correlation must lie in [-1, 1], got {rho0!r}")
     for layer in range(config.num_layers):
         act = config.activation_at(layer)
-        p = activation_to_pgf(act, k_max)
-        if isinstance(act, HermiteSeriesActivation):
-            moment = float(np.sum(np.square(act.coefficients)))
-            if moment == 0.0:
-                raise ZeroNormLayer(f"layer {layer + 1} activation is identically zero")
-            p = p / moment
-        factors.append(SeriesPgf(tuple(p)))
-    return kernel_at_rho(MixedKernel(tuple(factors)), rho0)
+        norm = _dual(act, 1.0)
+        if norm == 0.0:
+            raise ZeroNormLayer(f"layer {layer + 1} activation is identically zero")
+        rho = min(1.0, max(-1.0, _dual(act, rho) / norm))
+    return rho
 
 
 def convergence_study(base: MlpConfig, widths: Sequence[int],

@@ -72,6 +72,8 @@ class TestReferenceActivation:
             reference_activation("prelu(0.3)", slope=0.5)
         with pytest.raises(DomainError):
             reference_activation("relu", slope=0.5)
+        with pytest.raises(DomainError):     # slope^2 overflows: scale 0, phi = 0
+            reference_activation("prelu", -1e160)
 
     @pytest.mark.parametrize("name,slope", [("relu", None), ("linear", None),
                                             ("prelu", 0.25), ("prelu", -0.5)])
@@ -121,18 +123,28 @@ class TestReferenceActivation:
             assert math.copysign(1.0, act(np.array([x]))[0]) == math.copysign(1.0, x)
 
     @pytest.mark.parametrize("name,slope,at_minus_inf", [
-        ("relu", None, -math.inf),          # the select form gave NaN here
+        ("relu", None, -0.0),               # the limit 0, with -inf's sign
         ("linear", None, -math.inf),
         ("prelu", 0.25, -math.inf),
         ("prelu", -0.5, math.inf),
         ("prelu", 2.5, -math.inf),
     ])
     def test_infinities(self, name, slope, at_minus_inf):
+        # the limits, with no warning (RuntimeWarnings are errors here)
         act = reference_activation(name, slope)
-        with np.errstate(invalid="ignore"):
-            assert act(math.inf) == math.inf
-            assert act(-math.inf) == at_minus_inf
-            assert act(np.array([-math.inf, math.inf])).tolist() == [at_minus_inf, math.inf]
+        assert act(math.inf) == math.inf
+        assert act(-math.inf).hex() == at_minus_inf.hex()
+        assert [v.hex() for v in act(np.array([-math.inf, math.inf])).tolist()] == \
+            [at_minus_inf.hex(), math.inf.hex()]
+
+    @pytest.mark.parametrize("name,slope", _PARITY_CASES)
+    def test_extremes_do_not_warn(self, name, slope):
+        # prelu(2.5) at 1e308: the discarded 2.5 * x is past the float range
+        act = reference_activation(name, slope)
+        grid = np.array([-math.inf, -1e308, -1e300, 1e300, 1e308, math.inf])
+        act(grid)
+        for x in grid.tolist():
+            act(x)
 
 
 class TestSeriesActivation:
@@ -267,10 +279,14 @@ class TestBivariate:
             _relu_closed_form(s), abs=1e-12)
 
     def test_endpoints(self):
-        relu = reference_activation("relu")
-        assert bivariate_expectation(relu, 1.0) == pytest.approx(1.0, abs=1e-12)
-        assert bivariate_expectation(relu, -1.0) == pytest.approx(
-            _relu_closed_form(-1.0), abs=1e-12)
+        # E[phi^2] = 1, and phi(-x) phi(x) = slope * scale^2 * x^2 up to sign
+        for name, slope in _PARITY_CASES:
+            act = reference_activation(name, slope)
+            assert bivariate_expectation(act, 1.0) == pytest.approx(1.0, abs=1e-15), name
+            assert bivariate_expectation(act, -1.0) == pytest.approx(
+                -act.slope * act.scale ** 2, abs=1e-15), name
+        assert bivariate_expectation(reference_activation("relu"), -1.0) == pytest.approx(
+            _relu_closed_form(-1.0), abs=1e-15)
 
     @given(s=st.floats(-1.0, 1.0))
     def test_linear_returns_correlation(self, s):

@@ -302,6 +302,17 @@ class TestMlpStudy:
         closed = (math.sqrt(0.75) + 0.5 * (math.pi - math.acos(0.5))) / math.pi
         assert table[0, 3] == pytest.approx(closed, abs=1e-8)
 
+    def test_identical_inputs_have_no_gap(self, tmp_path):
+        # the limit at rho 1 is exactly 1; a truncated series read 0.99988
+        out = tmp_path / "study.csv"
+        code = app(["mlp-study", "--activation", "relu", "--depth", "2",
+                    "--widths", "16,64", "--samples", "200", "--seed", "1",
+                    "--rho", "1", "--out", str(out)])
+        assert code == 0
+        table = _load_csv(out)
+        assert table[:, 3].tolist() == [1.0, 1.0]
+        assert table[:, 4].tolist() == [0.0, 0.0]
+
     def test_mixed_layers(self, tmp_path):
         out = tmp_path / "study.csv"
         code = app(["mlp-study", "--activation", "linear,relu", "--depth", "2",

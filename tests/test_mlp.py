@@ -20,6 +20,7 @@ from thetakernels.errors import (
     ZeroVector,
 )
 from thetakernels.kernels import cmixed_pure_representation
+from thetakernels.pgf import make_theta_pgf, theta_coefficients
 from thetakernels.mlp import (
     KernelEstimate,
     MlpConfig,
@@ -36,6 +37,13 @@ LINEAR = reference_activation("linear")
 
 def _relu_closed_form(s: float) -> float:
     return (math.sqrt(1.0 - s * s) + s * (math.pi - math.acos(s))) / math.pi
+
+
+def _prelu_closed_form(slope: float, s: float) -> float:
+    # phi = x+ + slope * x-: E[X+ Z+] = E[X- Z-] = K / 2 and E[X+ Z-] = (s - K) / 2,
+    # with K the relu form above, over E[phi^2] = (1 + slope^2) / 2
+    k = _relu_closed_form(s)
+    return k + 2.0 * slope * (s - k) / (1.0 + slope * slope)
 
 
 class TestConfig:
@@ -343,7 +351,7 @@ def test_chunk_memory_peak(monkeypatch):
 
 
 class TestReferenceValue:
-    @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.5, 0.9, 0.99, 0.999, 1.0])
     def test_single_layer_rectifier(self, rho):
         config = MlpConfig(widths=(2, 64, 1), activations=RELU, seed=0)
         assert reference_kernel_value(config, rho) == pytest.approx(
@@ -358,6 +366,37 @@ class TestReferenceValue:
         config = MlpConfig(widths=(2, 64, 64, 1), activations=(LINEAR, RELU), seed=0)
         assert reference_kernel_value(config, 0.4) == pytest.approx(
             _relu_closed_form(0.4), abs=1e-8)
+        config = MlpConfig(widths=(2, 64, 64, 1),
+                           activations=(reference_activation("prelu", -0.5), RELU), seed=0)
+        assert reference_kernel_value(config, 0.4) == pytest.approx(
+            _relu_closed_form(_prelu_closed_form(-0.5, 0.4)), abs=1e-8)
+
+    @pytest.mark.parametrize("names", ["relu,relu", "linear,relu", "prelu(-0.5),relu",
+                                       "relu,relu,relu,relu"])
+    def test_rectifier_stacks_match_closed_form(self, names):
+        # the truncated-series route read 2.3e-4 off, worst near rho = 1
+        acts = tuple(reference_activation(name) for name in names.split(","))
+        config = MlpConfig(widths=(2,) + (8,) * len(acts) + (1,), activations=acts, seed=0)
+        for rho in np.linspace(-1.0, 1.0, 201).tolist():
+            expected = rho
+            for act in acts:
+                expected = _prelu_closed_form(act.slope, expected)
+            assert reference_kernel_value(config, rho) == pytest.approx(expected, abs=1e-14)
+
+    @pytest.mark.parametrize("k_max", [64, 200, 300])
+    def test_series_layer_at_every_order(self, k_max):
+        # dual(rho) / dual(1) with dual(s) = sum_k p_k s^k, past any truncation
+        p = theta_coefficients(make_theta_pgf(theta=-0.5, a=0.5, q=0.3), k_max).tolist()
+        config = MlpConfig(widths=(2, 8, 1), activations=activation_from_coefficients(p),
+                           seed=0)
+        for rho in (0.5, 0.99, 1.0):
+            expected = math.fsum(pk * rho ** k for k, pk in enumerate(p)) / math.fsum(p)
+            assert reference_kernel_value(config, rho) == pytest.approx(expected, abs=1e-13)
+
+    @pytest.mark.parametrize("rho", [1.5, -1.0 - 1e-15, math.nan])
+    def test_correlation_range(self, rho):
+        with pytest.raises(DomainError):
+            reference_kernel_value(MlpConfig(widths=(2, 8, 1), activations=RELU, seed=0), rho)
 
     def test_series_layers_are_normalised(self):
         # E[phi^2] = 0.5: the layer norm makes each layer g(s) = (0.2 + 0.3 s) / 0.5,
