@@ -285,8 +285,6 @@ class TestBivariate:
             assert bivariate_expectation(act, 1.0) == pytest.approx(1.0, abs=1e-15), name
             assert bivariate_expectation(act, -1.0) == pytest.approx(
                 -act.slope * act.scale ** 2, abs=1e-15), name
-        assert bivariate_expectation(reference_activation("relu"), -1.0) == pytest.approx(
-            _relu_closed_form(-1.0), abs=1e-15)
 
     @given(s=st.floats(-1.0, 1.0))
     def test_linear_returns_correlation(self, s):

@@ -20,7 +20,6 @@ from thetakernels.errors import (
     ZeroVector,
 )
 from thetakernels.kernels import cmixed_pure_representation
-from thetakernels.pgf import make_theta_pgf, theta_coefficients
 from thetakernels.mlp import (
     KernelEstimate,
     MlpConfig,
@@ -30,6 +29,7 @@ from thetakernels.mlp import (
     sample_mlp_output,
     worker_count,
 )
+from thetakernels.pgf import make_theta_pgf, theta_coefficients
 
 RELU = reference_activation("relu")
 LINEAR = reference_activation("linear")
