@@ -26,7 +26,6 @@ from .pgf import (
     SeriesPgf,
     ThetaPgf,
     make_theta_pgf,
-    pgf_compose_sequence,
     pgf_iterate_closed,
     series_coefficients,
     theta_coefficients,

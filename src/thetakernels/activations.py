@@ -13,8 +13,8 @@ Two activation forms are supported.  ``HermiteSeriesActivation`` stores the
 sqrt(p_k) directly (positive square root throughout; sign freedom changes phi
 but not the induced PGF) and evaluates phi by Clenshaw's recurrence on arrays
 of the input's shape.  ``ReferenceActivation`` covers the standard
-leaky-rectifier family phi(x) = scale * (x if x > 0 else slope * x), scaled
-so E[phi(X)^2] = 1; relu, prelu(slope), and linear are the named members.
+leaky-rectifier family phi(x) = scale * (x if x > 0 else slope * x): it is its
+slope, and the scale making E[phi(X)^2] = 1 follows; relu is slope 0, linear 1.
 
 Coefficient recovery reads a series form's a_k^2 off directly (exact by
 orthonormality), uses closed half-Gaussian moments for reference forms, whose
@@ -28,7 +28,7 @@ composes them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -38,6 +38,7 @@ from .errors import (
     InvalidCoefficients,
     NotSquareIntegrableWithinBudget,
     NumericalInstability,
+    _finite,
     _order,
 )
 from .hermite import (
@@ -97,17 +98,27 @@ class HermiteSeriesActivation:
 class ReferenceActivation:
     """phi(x) = scale * (x if x > 0 else slope * x), with E[phi(X)^2] = 1.
 
-    Three passes over one output array: slope * x (a zero of x's sign for
-    relu, so no 0 * inf), then the larger of that and x (the smaller for
-    slope > 1), then times scale.  Bit for bit scale * where(x > 0, x,
-    slope * x) on finite input and NaN, except that a zero keeps its sign.
-    phi(+-inf) are the limits (relu(-inf) = -0.0) and nothing warns, not
-    even a discarded slope * x past the float range.  Scalars give floats.
+    The slope, a finite real (not a bool) with a finite square, is stored as
+    a float, and the scale is derived from it.  Three passes over one output
+    array: slope * x (a zero of x's sign for relu, so no 0 * inf), then the
+    larger of that and x (the smaller for slope > 1), then times scale.  Bit
+    for bit scale * where(x > 0, x, slope * x) on finite input and NaN,
+    except that a zero keeps its sign and, for |slope| > 1, entries where
+    slope * x overflowed are (slope * scale) * x.  phi(+-inf) are the limits
+    (relu(-inf) = -0.0) and nothing warns.  Scalars give floats.
     """
 
-    name: str
     slope: float
-    scale: float
+    scale: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        slope = float(self.slope) if _finite(self.slope) else math.nan
+        if not math.isfinite(slope * slope):   # else scale is 0 and phi vanishes
+            raise DomainError(
+                f"slope must be finite with a finite square, got {self.slope!r}")
+        object.__setattr__(self, "slope", slope)
+        # E[phi^2] = scale^2 * (1 + slope^2) / 2 over the standard Gaussian.
+        object.__setattr__(self, "scale", math.sqrt(2.0 / (1.0 + slope * slope)))
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
@@ -120,6 +131,10 @@ class ReferenceActivation:
                 np.multiply(self.slope, arr, out=out)
         (np.minimum if self.slope > 1.0 else np.maximum)(out, arr, out=out)
         out *= self.scale
+        if abs(self.slope) > 1.0:   # slope * x overflowed only if x < 0 (scale < 1)
+            lost = np.isinf(out) & np.isfinite(arr)
+            with np.errstate(over="ignore"):
+                out[lost] = (self.slope * self.scale) * arr[lost]
         return float(out) if arr.ndim == 0 else out
 
 
@@ -144,7 +159,7 @@ def reference_activation(name: str, slope: float | None = None) -> ReferenceActi
     """Named reference activation: relu, linear, or prelu with a given slope.
 
     Accepts "prelu(0.25)" / "prelu:0.25" spellings so config files can carry
-    the slope inside the name.
+    the slope inside the name; ``ReferenceActivation`` checks the slope.
     """
     label = name.strip().lower()
     if label.startswith("prelu") and label not in ("prelu",):
@@ -166,11 +181,7 @@ def reference_activation(name: str, slope: float | None = None) -> ReferenceActi
         slope = _REFERENCE_SLOPES[label]
     else:
         raise DomainError(f"unknown reference activation {name!r}")
-    if not math.isfinite(slope * slope):   # else scale is 0 and phi vanishes
-        raise DomainError(f"slope must be finite with a finite square, got {slope}")
-    # E[phi^2] = scale^2 * (1 + slope^2) / 2 over the standard Gaussian.
-    scale = math.sqrt(2.0 / (1.0 + slope * slope))
-    return ReferenceActivation(name=label, slope=float(slope), scale=scale)
+    return ReferenceActivation(slope)
 
 
 def activation_to_pgf(act: Activation, k_max: int = DEFAULT_SERIES_K) -> np.ndarray:

@@ -233,8 +233,7 @@ def _kernel_from_json(record, where: str) -> KernelSpec:
         return PureKernel(_pgf_from_json(record["pgf"], f"{where} pgf"), record["depth"])
     if kind == "cmixed":
         _check_values("pgf", {"theta": record["theta"]})
-        return CMixedKernel(float(record["theta"]),
-                            tuple(float(v) for v in record["c_sequence"]))
+        return CMixedKernel(record["theta"], tuple(record["c_sequence"]))
     factors = record["factors"]
     if not isinstance(factors, list) or not factors:
         raise ConfigError(f"{where} factors must be a non-empty JSON list of PGF objects")
@@ -392,8 +391,7 @@ def _cmd_kernel_gram(args) -> None:
 
 def _cmd_kernel_limit(args) -> None:
     spec = _build_kernel(args)
-    value = kernel_limit(spec, _rho_from_args(args), c_sum=args.c_sum,
-                         sum_diverges=args.diverges)
+    value = kernel_limit(spec, _rho_from_args(args), c_sum=args.c_sum)
     print(_fmt(value))
 
 
@@ -556,9 +554,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     add_kernel_flags(s)
     add_rho_flags(s)
     s.add_argument("--c-sum", type=float, default=None,
-                   help="exact value of the infinite c sum (cmixed)")
-    s.add_argument("--diverges", action="store_true",
-                   help="assert the c sum diverges (cmixed)")
+                   help="exact value of the infinite c sum (cmixed); inf if it diverges")
 
     s = sub("kernel-eigen", _cmd_kernel_eigen, "sphere eigensystem as JSON")
     add_kernel_flags(s)

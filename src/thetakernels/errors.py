@@ -9,6 +9,8 @@ code working.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 
 __all__ = [
@@ -82,7 +84,7 @@ class DimensionUnsupported(ThetaKernelError, ValueError):
 
 
 class UnknownSumConvergence(ThetaKernelError, ValueError):
-    """A c-mixed limit was requested without the sum of c_k or a divergence flag."""
+    """A c-mixed limit was requested without the sum of c_k."""
 
 
 class IndexOutOfRange(ThetaKernelError, IndexError):
@@ -113,3 +115,12 @@ def _order(value, name: str, minimum: int | None, error: type = DomainError) -> 
         bound = "" if minimum is None else f" >= {minimum}"
         raise error(f"{name} must be an integer{bound}, got {value!r}")
     return index
+
+
+def _finite(value) -> bool:
+    """A finite real number, Python or numpy; bools are not numbers here."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:   # a Python int beyond the float range
+        return False

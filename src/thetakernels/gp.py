@@ -21,14 +21,13 @@ Neither allocates a second matrix of its matrix's size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (DimensionMismatch, DomainError, FactorizationFailed,
-                     NumericalInstability)
+                     NumericalInstability, _finite)
 from .kernels import KernelSpec, _as_points, cross_gram, gram, kernel_at_rho
 
 __all__ = ["GpModel", "PredictResult", "JITTER_LADDER", "fit", "predict"]
@@ -83,8 +82,8 @@ def fit(spec: KernelSpec, X: Sequence[Sequence[float]], y: Sequence[float],
             f"and {targets.shape[0]} targets")
     if not np.isfinite(targets).all():
         raise DomainError("targets must be finite")
-    if not 0.0 <= noise < math.inf:
-        raise DomainError(f"noise variance must be finite and >= 0, got {noise}")
+    if not (_finite(noise) and noise >= 0.0):
+        raise DomainError(f"noise variance must be a finite real >= 0, got {noise!r}")
     kmat = gram(spec, inputs)
     _check_finite(kmat, "Gram")
     n = kmat.shape[0]

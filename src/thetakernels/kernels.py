@@ -6,13 +6,15 @@ rho(x, z) = <x/|x|, z/|z|>.  Composing PGFs composes kernels, giving three
 constructions:
 
     pure:     the n-fold self-composition of one f,
-    mixed:    f_n o ... o f_1 for distinct factors,
+    mixed:    f_n o ... o f_1 for distinct factors, which is the composed PGF
+              itself (``MixedKernel`` is ``ComposedPgf``),
     c-mixed:  the mixed kernel over the critical one-parameter family
               f_k(s) = 1 - ((1 - s)**(-theta) + c_k)**(-1/theta).
 
 For theta-form factors every pure kernel has a closed form obtained by
 iterating parameters instead of composing evaluations; c-mixed kernels
-collapse to a single closed form in sum(c_k).  Infinite-depth limits and the
+collapse to a single closed form in sum(c_k); their depth -> infinity limit
+takes the full sum (math.inf if it diverges).  Infinite-depth limits and the
 spherical-harmonic eigensystem (eigenvalues surf(m) * p_k / r(m, k) with
 multiplicities r(m, k)) complete the picture.
 
@@ -46,15 +48,16 @@ from .errors import (
     RegimeViolation,
     UnknownSumConvergence,
     ZeroVector,
+    _finite,
     _order,
 )
 from .pgf import (
+    ComposedPgf,
     Pgf,
     Regime,
     ThetaPgf,
     _iterate_eval,
     make_theta_pgf,
-    pgf_compose_sequence,
     pgf_iterate_closed,
     series_coefficients,
 )
@@ -93,31 +96,26 @@ class PureKernel:
         object.__setattr__(self, "depth", _order(self.depth, "depth", 1, InvalidRegime))
 
 
-@dataclass(frozen=True)
-class MixedKernel:
-    """Composition of distinct PGFs, innermost (first-applied) factor first."""
-
-    factors: tuple[Pgf, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.factors) == 0:
-            raise EmptySequence("mixed kernel needs at least one factor")
+#: A mixed kernel is the composition of its factors, innermost first.
+MixedKernel = ComposedPgf
 
 
 @dataclass(frozen=True)
 class CMixedKernel:
-    """Mixed kernel over the critical family indexed by c_1 .. c_n."""
+    """Mixed kernel over the critical family indexed by c_1 .. c_n (floats)."""
 
     theta: float
     c_sequence: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.theta <= 1.0:
-            raise InvalidRegime(f"c-mixed kernels need theta in (0, 1], got {self.theta}")
+        if not (_finite(self.theta) and 0.0 < self.theta <= 1.0):
+            raise InvalidRegime(f"c-mixed kernels need theta in (0, 1], got {self.theta!r}")
         if len(self.c_sequence) == 0:
             raise EmptySequence("c-mixed kernel needs at least one c value")
-        if not all(math.isfinite(c) and c > 0.0 for c in self.c_sequence):
-            raise InvalidRegime(f"c-mixed kernels need all c > 0, got {self.c_sequence}")
+        if not all(_finite(c) and c > 0.0 for c in self.c_sequence):
+            raise InvalidRegime(f"c-mixed kernels need all c > 0, got {self.c_sequence!r}")
+        object.__setattr__(self, "theta", float(self.theta))
+        object.__setattr__(self, "c_sequence", tuple(float(c) for c in self.c_sequence))
 
     @property
     def depth(self) -> int:
@@ -237,8 +235,7 @@ def cmixed_pure_representation(theta: float, c_sequence: Sequence[float],
 # Infinite-depth limits
 # ---------------------------------------------------------------------------
 
-def kernel_limit(spec: KernelSpec, rho, c_sum: float | None = None,
-                 sum_diverges: bool = False):
+def kernel_limit(spec: KernelSpec, rho, c_sum: float | None = None):
     """Depth -> infinity limit of a pure or c-mixed kernel at given correlation.
 
     Pure theta kernels: supercritical and critical (r = 1, a >= 1) tend to 1
@@ -246,24 +243,25 @@ def kernel_limit(spec: KernelSpec, rho, c_sum: float | None = None,
     the diagonal and keep 1 at rho = 1; every other regime tends to q at all
     correlations (these PGFs are defective, so even K_n(1) drains to q).
 
-    c-mixed: 1 everywhere when sum c_k diverges; otherwise the closed form
-    with the full sum (1 at rho = 1).  The caller must say which via c_sum
-    or sum_diverges, else UnknownSumConvergence is raised.
+    c-mixed: the closed form with c = c_sum, the sum of all c_k (else
+    UnknownSumConvergence); c_sum = math.inf, a divergent sum, gives its
+    c -> inf value 1 everywhere.  Other specs refuse a c_sum (DomainError).
     """
     arr, scalar = _as_rho_array(rho)
     if isinstance(spec, CMixedKernel):
-        if sum_diverges:
+        if c_sum is None:
+            raise UnknownSumConvergence(
+                "c-mixed limit needs c_sum, the sum of all c_k (math.inf if it diverges)")
+        if c_sum == math.inf:
             out = np.ones_like(arr)
-        elif c_sum is not None:
-            if not (math.isfinite(c_sum) and c_sum >= math.fsum(spec.c_sequence) - 1e-12):
-                raise InvalidRegime(
-                    f"c_sum = {c_sum} is not a valid total for the given prefix")
+        elif _finite(c_sum) and c_sum >= math.fsum(spec.c_sequence) - 1e-12:
             out = make_theta_pgf(theta=spec.theta, a=1.0, c=c_sum).eval_extended(arr)
         else:
-            raise UnknownSumConvergence(
-                "c-mixed limit needs c_sum (convergent) or sum_diverges=True")
-        return float(out[0]) if scalar else out
-    if isinstance(spec, PureKernel) and isinstance(spec.f, ThetaPgf):
+            raise InvalidRegime(
+                f"c_sum = {c_sum!r} is not a valid total for the given prefix")
+    elif c_sum is not None:
+        raise DomainError(f"c_sum applies to c-mixed kernels only, got c_sum = {c_sum!r}")
+    elif isinstance(spec, PureKernel) and isinstance(spec.f, ThetaPgf):
         f = spec.f
         if f.regime is Regime.MAIN_SUPER:
             out = np.ones_like(arr)
@@ -272,10 +270,11 @@ def kernel_limit(spec: KernelSpec, rho, c_sum: float | None = None,
             out = np.where(arr >= 1.0, 1.0, f.q)
         else:
             out = np.full_like(arr, f.q)
-        return float(out[0]) if scalar else out
-    raise RegimeViolation(
-        "infinite-depth limits are defined for theta-form pure kernels "
-        "and c-mixed kernels only")
+    else:
+        raise RegimeViolation(
+            "infinite-depth limits are defined for theta-form pure kernels "
+            "and c-mixed kernels only")
+    return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +349,15 @@ def spec_to_pgf(spec: KernelSpec) -> Pgf:
     """The single PGF whose evaluation at rho equals the kernel.
 
     Theta-form pure kernels iterate in closed form; c-mixed kernels collapse
-    to the critical PGF with c = sum c_k; the rest compose evaluators.
+    to the critical PGF with c = sum c_k; other pure kernels compose their
+    factor depth times, and a mixed kernel already is its composition.
     """
     if isinstance(spec, PureKernel):
         if isinstance(spec.f, ThetaPgf):
             return pgf_iterate_closed(spec.f, spec.depth)
-        return pgf_compose_sequence([spec.f] * spec.depth)
+        return ComposedPgf((spec.f,) * spec.depth)
     if isinstance(spec, MixedKernel):
-        return pgf_compose_sequence(list(spec.factors))
+        return spec
     if isinstance(spec, CMixedKernel):
         return make_theta_pgf(theta=spec.theta, a=1.0,
                               c=math.fsum(spec.c_sequence))
@@ -401,7 +401,6 @@ class Eigensystem:
     dimension: int
     lambdas: tuple[float, ...]
     multiplicities: tuple[int, ...]
-    coefficients: tuple[float, ...]
 
     @property
     def k_max(self) -> int:
@@ -427,5 +426,4 @@ def eigensystem(spec: KernelSpec, m: int, k_max: int) -> Eigensystem:
     surf = surface_area(m)
     lambdas = [surf * float(pk) / mult for pk, mult in zip(p, mults)]
     return Eigensystem(dimension=m, lambdas=tuple(lambdas),
-                       multiplicities=tuple(mults),
-                       coefficients=tuple(float(v) for v in p))
+                       multiplicities=tuple(mults))

@@ -5,10 +5,11 @@ The field is the norm-regulated MLP
     x^(k+1) = phi^(k+1)(W^(k) x^(k) / |x^(k)|),   k = 0 .. n-1,
     output  = W^(n) x^(n) / |x^(n)|               (affine last layer),
 
-with all weights i.i.d. standard Gaussian.  As the hidden widths grow, the
-covariance E[output(x)_i output(z)_i] converges to the compositional kernel
-built from the per-layer activations' duals; this module produces the Monte
-Carlo side of that comparison and the limit it is compared with.
+with all weights i.i.d. standard Gaussian and phi^(k+1) = activations[k].  As
+the hidden widths grow, the covariance E[output(x)_i output(z)_i] converges
+to the compositional kernel built from the per-layer activations' duals; this
+module produces the Monte Carlo side of that comparison and the limit it is
+compared with.
 
 Weight randomness comes from counter-based Philox substreams (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC 2011).  ``empirical_kernel``
@@ -42,10 +43,10 @@ then forms the partner v <- sqrt(1 - rho^2) v + rho u in the block's own
 storage (rho u is rounded once, as a separate product would be) and
 activates v; the row norms, row dot products and the clip of rho run on
 (m, width) arrays, with rho a length-m vector.  A reference activation
-writes one (m, width) array and nothing else of that size.  The block, the
-two activated arrays and the next layer's block peak at 6 * 256 * width
-doubles per thread (12.6 MB at width 1024 for a rectifier; tracemalloc
-reads 6.01 such arrays).  A HermiteSeriesActivation adds three (m, width)
+writes one (m, width) array of doubles (and bool masks if |slope| > 1).
+The block, the two activated arrays and the next layer's block peak at
+6 * 256 * width doubles per thread (12.6 MB at width 1024 for a rectifier;
+tracemalloc reads 6.01 such arrays).  A HermiteSeriesActivation adds three (m, width)
 arrays for its Clenshaw recurrence (6.3 MB at width 1024).
 """
 
@@ -55,7 +56,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence, Union, get_args
+from typing import Sequence, get_args
 
 import numpy as np
 
@@ -84,11 +85,11 @@ _CHUNK = 256
 
 @dataclass(frozen=True)
 class MlpConfig:
-    """Widths h_0 .. h_{n+1}, one activation (pure) or n activations (mixed),
-    and the stream seed."""
+    """Widths h_0 .. h_{n+1}, one activation per layer 1 .. n, and the stream
+    seed.  A single activation, not in a tuple, is stored as n copies."""
 
     widths: tuple[int, ...]
-    activations: Union[Activation, tuple[Activation, ...]]
+    activations: tuple[Activation, ...]
     seed: int
 
     def __post_init__(self) -> None:
@@ -97,29 +98,24 @@ class MlpConfig:
                 f"need widths h_0 .. h_{{n+1}} with n >= 1, got {self.widths}")
         object.__setattr__(self, "widths", tuple(
             _order(h, f"width h_{k}", 1) for k, h in enumerate(self.widths)))
-        if isinstance(self.activations, tuple):
-            if len(self.activations) != self.num_layers:
-                raise DomainError(
-                    f"mixed config needs {self.num_layers} activations, "
-                    f"got {len(self.activations)}")
-        for layer in range(self.num_layers):
-            act = self.activation_at(layer)
+        acts = self.activations
+        if not isinstance(acts, tuple):
+            acts = (acts,) * self.num_layers
+        elif len(acts) != self.num_layers:
+            raise DomainError(
+                f"mixed config needs {self.num_layers} activations, got {len(acts)}")
+        for act in acts:
             # reference_kernel_value needs each layer's exact dual.
             if not isinstance(act, get_args(Activation)):
                 raise DomainError("activations must be HermiteSeriesActivation or "
                                   f"ReferenceActivation, got {act!r}")
+        object.__setattr__(self, "activations", acts)
         object.__setattr__(self, "seed", _order(self.seed, "seed", None))
 
     @property
     def num_layers(self) -> int:
         """n: the number of activated layers."""
         return len(self.widths) - 2
-
-    def activation_at(self, layer: int) -> Activation:
-        """Activation applied to layer ``layer``'s pre-activations (0-based)."""
-        if isinstance(self.activations, tuple):
-            return self.activations[layer]
-        return self.activations
 
 
 @dataclass(frozen=True)
@@ -188,7 +184,7 @@ def sample_mlp_output(config: MlpConfig, input: Sequence[float],
             gen = _layer_generator(config.seed, seed_offset, layer)
             w = gen.standard_normal((config.widths[layer + 1], config.widths[layer]))
         pre = w @ _normalized(x, "input" if layer == 0 else f"layer {layer} output")
-        x = config.activation_at(layer)(pre) if layer < n else pre
+        x = config.activations[layer](pre) if layer < n else pre
     return x
 
 
@@ -206,7 +202,7 @@ def _pair_samples(config: MlpConfig, rho0: float, chunk: int,
         block = gen.standard_normal((hi - lo, widths[layer + 1], 2))
         u = block[:, :, 0]
         v = block[:, :, 1]
-        act = config.activation_at(layer)
+        act = config.activations[layer]
         a = act(u)
         # v = sqrt(1 - rho^2) v + rho u in the draw's storage; u is spent
         v *= np.sqrt(1.0 - rho * rho)[:, None]
@@ -289,8 +285,7 @@ def reference_kernel_value(config: MlpConfig, rho0: float) -> float:
     rho = float(rho0)
     if not -1.0 <= rho <= 1.0:
         raise DomainError(f"correlation must lie in [-1, 1], got {rho0!r}")
-    for layer in range(config.num_layers):
-        act = config.activation_at(layer)
+    for layer, act in enumerate(config.activations):
         norm = _dual(act, 1.0)
         if norm == 0.0:
             raise ZeroNormLayer(f"layer {layer + 1} activation is identically zero")

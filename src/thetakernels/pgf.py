@@ -39,10 +39,9 @@ coefficient oracle integrates the evaluated PGF over a contour.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -53,6 +52,7 @@ from .errors import (
     InvalidCoefficients,
     NumericalInstability,
     RegimeViolation,
+    _finite,
     _order,
 )
 
@@ -65,7 +65,6 @@ __all__ = [
     "make_theta_pgf",
     "derived_c",
     "pgf_iterate_closed",
-    "pgf_compose_sequence",
     "theta_coefficients",
     "series_coefficients",
     "theta_pgf_to_series",
@@ -103,15 +102,6 @@ def derived_c(theta: float, a: float, q: float, r: float) -> float:
 def _check(cond: bool, message: str) -> None:
     if not cond:
         raise RegimeViolation(message)
-
-
-def _finite(value) -> bool:
-    """A finite real number, Python or numpy; bools are not numbers here."""
-    try:
-        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                and math.isfinite(value))
-    except OverflowError:   # a Python int beyond the float range
-        return False
 
 
 def _infer_regime(theta: float, a: float, r: float) -> Regime:
@@ -348,13 +338,16 @@ class SeriesPgf(_PgfBase):
 
 @dataclass(frozen=True)
 class ComposedPgf(_PgfBase):
-    """Composition of PGFs, innermost factor first."""
+    """Composition of PGFs, innermost factor first; nested ones are flattened."""
 
     factors: tuple["Pgf", ...]
 
     def __post_init__(self) -> None:
         if len(self.factors) == 0:
             raise EmptySequence("composition needs at least one factor")
+        object.__setattr__(self, "factors", tuple(
+            g for f in self.factors
+            for g in (f.factors if isinstance(f, ComposedPgf) else (f,))))
 
     def eval_extended(self, z):
         out = z
@@ -364,17 +357,6 @@ class ComposedPgf(_PgfBase):
 
 
 Pgf = Union[ThetaPgf, SeriesPgf, ComposedPgf]
-
-
-def pgf_compose_sequence(fs: Sequence[Pgf]) -> ComposedPgf:
-    """Compose a sequence of PGFs, first entry applied first (innermost)."""
-    fs = tuple(fs)
-    if not fs:
-        raise EmptySequence("cannot compose an empty sequence of PGFs")
-    flat: list[Pgf] = []
-    for f in fs:
-        flat.extend(f.factors if isinstance(f, ComposedPgf) else (f,))
-    return ComposedPgf(tuple(flat))
 
 
 def pgf_iterate_closed(f: ThetaPgf, n: int) -> ThetaPgf:

@@ -176,7 +176,7 @@ def test_criterion_07_cmixed_dichotomy():
         if previous is not None:
             assert at_zero > previous
         previous = at_zero
-    assert kernel_limit(spec, 0.0, sum_diverges=True) == 1.0
+    assert kernel_limit(spec, 0.0, c_sum=math.inf) == 1.0
 
 
 def test_criterion_08_pure_representation_identity():

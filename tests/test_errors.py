@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from thetakernels import gp
-from thetakernels.activations import reference_activation
-from thetakernels.errors import (DomainError, InvalidCoefficients,
+from thetakernels.activations import (HermiteSeriesActivation, ReferenceActivation,
+                                      reference_activation)
+from thetakernels.errors import (DomainError, InvalidCoefficients, InvalidRegime,
                                  NumericalInstability, ThetaKernelError)
 from thetakernels.hermite import hermite_series
-from thetakernels.kernels import PureKernel
+from thetakernels.kernels import CMixedKernel, PureKernel, kernel_limit
 from thetakernels.pgf import make_theta_pgf
 
 F = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
@@ -39,16 +40,28 @@ def _with_nan_entry(name, call):
 
 @pytest.mark.parametrize("call, error", [
     (lambda: reference_activation("prelu(abc)"), DomainError),
+    (lambda: ReferenceActivation(float("nan")), DomainError),
+    (lambda: ReferenceActivation(True), DomainError),
+    (lambda: ReferenceActivation(1e200), DomainError),
     (lambda: hermite_series([], 0.5), InvalidCoefficients),
+    (lambda: HermiteSeriesActivation((0.5, -0.1)), InvalidCoefficients),
+    (lambda: HermiteSeriesActivation((0.5, float("nan"))), InvalidCoefficients),
+    (lambda: CMixedKernel(True, (0.5,)), InvalidRegime),
+    (lambda: CMixedKernel(0.5, (True,)), InvalidRegime),
+    (lambda: kernel_limit(PureKernel(F, 1), 0.5, c_sum=-5.0), DomainError),
     (lambda: gp.fit(K, X, [1.0, np.nan, 1.0]), DomainError),
     (lambda: gp.fit(K, X, [1.0, np.inf, 1.0]), DomainError),
     (lambda: gp.fit(K, X, Y, noise=np.inf), DomainError),
     (lambda: gp.fit(K, X, Y, noise=np.nan), DomainError),
+    (lambda: gp.fit(K, X, Y, noise=True), DomainError),
     (_with_nan_entry("gram", lambda model: gp.fit(K, X, Y)), NumericalInstability),
     (_with_nan_entry("cross_gram", lambda model: gp.predict(model, X)),
      NumericalInstability),
-], ids=["prelu-slope", "empty-series", "gp-nan-target", "gp-inf-target", "gp-inf-noise",
-        "gp-nan-noise", "gp-nan-gram", "gp-nan-cross-gram"])
+], ids=["prelu-slope", "nan-slope", "bool-slope", "slope-square-overflows",
+        "empty-series", "negative-hermite-coefficient", "nan-hermite-coefficient",
+        "cmixed-bool-theta", "cmixed-bool-c", "pure-limit-c-sum", "gp-nan-target",
+        "gp-inf-target", "gp-inf-noise", "gp-nan-noise", "gp-bool-noise", "gp-nan-gram",
+        "gp-nan-cross-gram"])
 def test_typed_error(call, error):
     with pytest.raises(error) as info:
         call()

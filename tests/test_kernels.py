@@ -180,7 +180,7 @@ class TestClosedFormAgainstComposition:
         with pytest.raises(DomainError):
             kernel_at_rho(spec, rho)
         with pytest.raises(DomainError):
-            kernel_limit(spec, rho, sum_diverges=True)
+            kernel_limit(spec, rho, c_sum=math.inf)
 
     @pytest.mark.parametrize("theta", [1e-9, -1e-9, 5e-9])
     def test_small_theta_matches_high_precision(self, theta):
@@ -291,7 +291,7 @@ class TestLimits:
 
     def test_cmixed_divergent(self):
         spec = CMixedKernel(0.5, (0.1, 0.2))
-        assert np.all(kernel_limit(spec, np.array(RHO_GRID), sum_diverges=True) == 1.0)
+        assert np.all(kernel_limit(spec, np.array(RHO_GRID), c_sum=math.inf) == 1.0)
 
     def test_cmixed_convergent_total(self):
         spec = CMixedKernel(1.0, (0.25, 0.25))
@@ -548,6 +548,11 @@ class TestSpecToPgf:
             assert np.max(np.abs(collapsed.eval_extended(grid)
                                  - kernel_at_rho(spec, grid))) < 1e-14
 
+    def test_mixed_is_its_own_composition(self):
+        f = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
+        spec = MixedKernel((f, SeriesPgf((0.5, 0.5))))
+        assert spec_to_pgf(spec) is spec
+
     def test_cmixed_collapse(self):
         collapsed = spec_to_pgf(CMixedKernel(0.5, (0.25, 0.5, 0.25)))
         assert isinstance(collapsed, ThetaPgf)
@@ -607,8 +612,9 @@ class TestEigensystem:
         # eigensystem must say so although the iterated PGF cannot be built.
         f = make_theta_pgf(theta=0.5, a=0.5, q=0.3)
         spec = PureKernel(f, 2000)
-        assert np.allclose(eigensystem(spec, 3, 4).coefficients,
-                           (0.3, 0.0, 0.0, 0.0, 0.0), rtol=0.0, atol=1e-12)
+        system = eigensystem(spec, 3, 4)
+        p = np.multiply(system.lambdas, system.multiplicities) / surface_area(3)
+        assert np.allclose(p, (0.3, 0.0, 0.0, 0.0, 0.0), rtol=0.0, atol=1e-12)
         with pytest.raises(NumericalInstability):
             pgf_iterate_closed(f, 2000)
 

@@ -50,13 +50,13 @@ class TestConfig:
     def test_layer_counting(self):
         config = MlpConfig(widths=(2, 16, 16, 1), activations=RELU, seed=0)
         assert config.num_layers == 2
-        assert config.activation_at(0) is RELU
-        assert config.activation_at(1) is RELU
+        assert config.activations[0] is RELU
+        assert config.activations[1] is RELU
 
     def test_mixed_activation_lookup(self):
         config = MlpConfig(widths=(2, 8, 8, 1), activations=(LINEAR, RELU), seed=0)
-        assert config.activation_at(0) is LINEAR
-        assert config.activation_at(1) is RELU
+        assert config.activations[0] is LINEAR
+        assert config.activations[1] is RELU
 
     def test_validation(self):
         with pytest.raises(DomainError):

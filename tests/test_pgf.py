@@ -35,7 +35,6 @@ from thetakernels.pgf import (
     ThetaPgf,
     derived_c,
     make_theta_pgf,
-    pgf_compose_sequence,
     pgf_iterate_closed,
     series_coefficients,
     theta_coefficients,
@@ -70,6 +69,11 @@ class TestRegimeValidation:
         f = make_theta_pgf(theta=0.5, a=0.5, q=0.25)
         g = make_theta_pgf(theta=0.5, a=0.5, c=f.c)
         assert g.q == pytest.approx(0.25, abs=1e-14)
+
+    def test_q_from_c_snaps_round_off_to_zero(self):
+        # c derived from q = 0 inverts to q = -4.4e-16, which is not >= 0
+        f = ThetaPgf(theta=0.5, a=0.5, c=derived_c(0.5, 0.5, 0.0, 3.0), r=3.0)
+        assert f.q == 0.0
 
     def test_supplying_both_consistent_ok(self):
         c = derived_c(0.5, 0.5, 0.25, 1.0)
@@ -208,7 +212,7 @@ class TestEval:
     def test_non_finite_argument(self, form, bad):
         f = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
         pgf = {"theta": f, "series": SeriesPgf((0.5, 0.5)),
-               "composed": pgf_compose_sequence([f, f])}[form]
+               "composed": ComposedPgf((f, f))}[form]
         with pytest.raises(DomainError):
             pgf.eval(bad)
 
@@ -453,29 +457,27 @@ class TestSeriesExtraction:
 class TestComposition:
     def test_compose_two(self):
         f = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
-        assert pgf_compose_sequence([f, f]).eval(0.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert ComposedPgf((f, f)).eval(0.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_sequence_order_is_innermost_first(self):
         inner = make_theta_pgf(theta=-1.0, a=0.5, q=0.0)   # s/2
         outer = make_theta_pgf(theta=-1.0, a=0.5, q=1.0)   # s/2 + 1/2
-        both = pgf_compose_sequence([inner, outer])
+        both = ComposedPgf((inner, outer))
         assert both.eval(1.0) == pytest.approx(0.75, abs=1e-15)
 
     def test_flattening(self):
         f = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
-        nested = pgf_compose_sequence([pgf_compose_sequence([f, f]), f])
+        nested = ComposedPgf((ComposedPgf((f, f)), f))
         assert len(nested.factors) == 3
         assert nested.eval(0.0) == pytest.approx(0.75, abs=1e-15)
 
     def test_empty_sequence(self):
         with pytest.raises(EmptySequence):
-            pgf_compose_sequence([])
-        with pytest.raises(EmptySequence):
             ComposedPgf(())
 
     def test_mass_composes(self):
         f = make_theta_pgf(theta=0.5, a=0.5, q=0.5, r=2.0)
-        two = pgf_compose_sequence([f, f])
+        two = ComposedPgf((f, f))
         assert two.mass() == pytest.approx(f.eval(f.mass()), abs=1e-12)
 
 
