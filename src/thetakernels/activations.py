@@ -176,7 +176,7 @@ def reference_activation(name: str, slope: float | None = None) -> ReferenceActi
         if slope is None:
             raise DomainError("prelu needs a slope, e.g. reference_activation('prelu', 0.25)")
     elif label in _REFERENCE_SLOPES:
-        if slope is not None and slope != _REFERENCE_SLOPES[label]:
+        if slope is not None and not (_finite(slope) and slope == _REFERENCE_SLOPES[label]):
             raise DomainError(f"{label} has a fixed slope; got slope={slope}")
         slope = _REFERENCE_SLOPES[label]
     else:

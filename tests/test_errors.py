@@ -40,6 +40,7 @@ def _with_nan_entry(name, call):
 
 @pytest.mark.parametrize("call, error", [
     (lambda: reference_activation("prelu(abc)"), DomainError),
+    (lambda: reference_activation("linear", True), DomainError),
     (lambda: ReferenceActivation(float("nan")), DomainError),
     (lambda: ReferenceActivation(True), DomainError),
     (lambda: ReferenceActivation(1e200), DomainError),
@@ -57,7 +58,7 @@ def _with_nan_entry(name, call):
     (_with_nan_entry("gram", lambda model: gp.fit(K, X, Y)), NumericalInstability),
     (_with_nan_entry("cross_gram", lambda model: gp.predict(model, X)),
      NumericalInstability),
-], ids=["prelu-slope", "nan-slope", "bool-slope", "slope-square-overflows",
+], ids=["prelu-slope", "linear-bool-slope", "nan-slope", "bool-slope", "slope-square-overflows",
         "empty-series", "negative-hermite-coefficient", "nan-hermite-coefficient",
         "cmixed-bool-theta", "cmixed-bool-c", "pure-limit-c-sum", "gp-nan-target",
         "gp-inf-target", "gp-inf-noise", "gp-nan-noise", "gp-bool-noise", "gp-nan-gram",
