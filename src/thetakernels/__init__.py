@@ -10,7 +10,6 @@ from .errors import (
     FactorizationFailed,
     IndexOutOfRange,
     InvalidCoefficients,
-    InvalidRegime,
     NotSquareIntegrableWithinBudget,
     NumericalInstability,
     RegimeViolation,

@@ -9,20 +9,22 @@ p_k = (E[phi(X) h_k(X)])^2.  The bridge identity is
 
 so activations and PGFs carry the same kernel information.
 
-Two activation forms are supported.  ``HermiteSeriesActivation`` stores the
-sqrt(p_k) directly (positive square root throughout; sign freedom changes phi
-but not the induced PGF) and evaluates phi by Clenshaw's recurrence on arrays
-of the input's shape.  ``ReferenceActivation`` covers the standard
-leaky-rectifier family phi(x) = scale * (x if x > 0 else slope * x): it is its
-slope, and the scale making E[phi(X)^2] = 1 follows; relu is slope 0, linear 1.
+Two activation forms are supported.  ``HermiteSeriesActivation`` is its PGF:
+it holds a ``SeriesPgf`` and derives a_k = sqrt(p_k) from it once (positive
+square root throughout; sign freedom changes phi but not the induced PGF),
+evaluating phi by Clenshaw's recurrence on arrays of the input's shape.
+``ReferenceActivation`` covers the standard leaky-rectifier family
+phi(x) = scale * (x if x > 0 else slope * x): it is its slope, and the scale
+making E[phi(X)^2] = 1 follows; relu is slope 0, linear 1.  By name, a
+reference activation is ``relu``, ``linear`` or ``prelu(S)``.
 
-Coefficient recovery reads a series form's a_k^2 off directly (exact by
-orthonormality), uses closed half-Gaussian moments for reference forms, whose
-kink at 0 defeats full-line quadrature rates, and projects any other callable
-by Gauss-Hermite quadrature.  Each form has one exact dual E[phi(X) phi(Z)],
-sum_k a_k^2 s^k for a series form and the arc-cosine closed form (Cho and
-Saul, NIPS 2009) for a reference form; the wide-MLP reference kernel
-composes them.
+Coefficient recovery returns a series form's p_k (exact by orthonormality),
+uses closed half-Gaussian moments for reference forms, whose kink at 0
+defeats full-line quadrature rates, and projects any other callable by
+Gauss-Hermite quadrature.  Each form has one exact dual E[phi(X) phi(Z)]:
+its PGF for a series form and the arc-cosine closed form (Cho and Saul,
+NIPS 2009) for a reference form; the wide-MLP reference kernel composes
+them.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    InvalidCoefficients,
     NotSquareIntegrableWithinBudget,
     NumericalInstability,
     _finite,
@@ -69,26 +70,23 @@ _SIGN_BIT = np.uint64(1 << 63)
 
 @dataclass(frozen=True)
 class HermiteSeriesActivation:
-    """phi(x) = sum_k a_k h_k(x) with a_k = sqrt(p_k) >= 0.
+    """phi(x) = sum_k a_k h_k(x) for the PGF sum_k p_k s^k, a_k = sqrt(p_k).
 
-    ``eps_tail`` carries the PGF mass lost to truncation when the
-    coefficients come from a truncated theta PGF.
+    The activation is its ``SeriesPgf``, which checks the p_k and carries
+    their truncated tail mass; the coefficients a_k are derived from it.
     """
 
-    coefficients: tuple[float, ...]
-    eps_tail: float = 0.0
+    pgf: SeriesPgf
+    coefficients: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.coefficients, dtype=float)
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-            raise InvalidCoefficients(
-                "Hermite-series activation coefficients must be finite and >= 0")
-        # E[phi^2] = sum a_k^2 must be a sub-probability mass, as must eps_tail.
-        SeriesPgf(tuple((arr * arr).tolist()), eps_tail=self.eps_tail)
+        if not isinstance(self.pgf, SeriesPgf):
+            raise DomainError(f"a series activation is built from a SeriesPgf, got {self.pgf!r}")
+        object.__setattr__(self, "coefficients", tuple(np.sqrt(self.pgf.coefficients).tolist()))
 
     @property
     def k_max(self) -> int:
-        return len(self.coefficients) - 1
+        return self.pgf.k_max
 
     def __call__(self, x):
         return hermite_series(self.coefficients, x)
@@ -141,53 +139,40 @@ class ReferenceActivation:
 Activation = Union[HermiteSeriesActivation, ReferenceActivation]
 
 
-def activation_from_coefficients(p: Sequence[float],
-                                 eps_tail: float = 0.0) -> HermiteSeriesActivation:
-    """Activation with Hermite coefficients sqrt(p_k) from a PGF sequence.
+def activation_from_coefficients(p: Sequence[float]) -> HermiteSeriesActivation:
+    """The series activation of the PGF sequence p, checked as a SeriesPgf.
 
-    p and eps_tail are checked as a SeriesPgf: InvalidCoefficients for a
-    sequence that is not flat, negative entries (below -1e-12), total mass
-    above 1 + 1e-12, or an eps_tail that is not finite and >= 0.  Tiny
-    negative rounding residues are clamped.
+    InvalidCoefficients for a sequence that is not flat or finite, negative
+    entries (below -1e-12) or total mass above 1 + 1e-12; tiny negative
+    rounding residues are clamped.
     """
-    series = SeriesPgf(p, eps_tail=eps_tail)
-    return HermiteSeriesActivation(tuple(np.sqrt(series.coefficients).tolist()),
-                                   eps_tail=eps_tail)
+    return HermiteSeriesActivation(SeriesPgf(p))
 
 
-def reference_activation(name: str, slope: float | None = None) -> ReferenceActivation:
-    """Named reference activation: relu, linear, or prelu with a given slope.
+def reference_activation(name: str) -> ReferenceActivation:
+    """The reference activation named relu, linear or prelu(S).
 
-    Accepts "prelu(0.25)" / "prelu:0.25" spellings so config files can carry
-    the slope inside the name; ``ReferenceActivation`` checks the slope.
+    Case and surrounding space are ignored, and S is read by ``float``;
+    ``ReferenceActivation(slope)`` takes the slope as a number.
     """
-    label = name.strip().lower()
-    if label.startswith("prelu") and label not in ("prelu",):
-        inner = label[len("prelu"):].strip("():")
-        if inner:
-            if slope is not None:
-                raise DomainError(f"slope given twice: {name!r} and slope={slope}")
-            try:
-                slope = float(inner)
-            except ValueError:
-                raise DomainError(f"cannot read a slope from {name!r}")
-            label = "prelu"
-    if label == "prelu":
-        if slope is None:
-            raise DomainError("prelu needs a slope, e.g. reference_activation('prelu', 0.25)")
-    elif label in _REFERENCE_SLOPES:
-        if slope is not None and not (_finite(slope) and slope == _REFERENCE_SLOPES[label]):
-            raise DomainError(f"{label} has a fixed slope; got slope={slope}")
-        slope = _REFERENCE_SLOPES[label]
-    else:
-        raise DomainError(f"unknown reference activation {name!r}")
-    return ReferenceActivation(slope)
+    label = name.strip().lower() if isinstance(name, str) else ""
+    if label in _REFERENCE_SLOPES:
+        return ReferenceActivation(_REFERENCE_SLOPES[label])
+    if label.startswith("prelu(") and label.endswith(")"):
+        try:
+            slope = float(label[len("prelu("):-1])
+        except ValueError:
+            pass
+        else:
+            return ReferenceActivation(slope)
+    raise DomainError(f"unknown reference activation {name!r}: "
+                      "expected relu, linear or prelu(S) with S a number")
 
 
 def activation_to_pgf(act: Activation, k_max: int = DEFAULT_SERIES_K) -> np.ndarray:
     """Recover p_k = (E[phi(X) h_k(X)])^2 for k = 0 .. k_max.
 
-    Series activations return their a_k^2, zero-padded or truncated to
+    Series activations return their PGF's p_k, zero-padded or truncated to
     k_max: exact by orthonormality at every order.  Reference forms use the
     closed half-Gaussian moment recursion: the kink at zero caps full-line
     quadrature at O(n^{-3/2}) accuracy, far short of the 1e-8 oracle
@@ -199,10 +184,11 @@ def activation_to_pgf(act: Activation, k_max: int = DEFAULT_SERIES_K) -> np.ndar
     """
     k_max = _order(k_max, "k_max", 0)
     if isinstance(act, HermiteSeriesActivation):
-        a = np.zeros(k_max + 1)
-        kept = act.coefficients[:k_max + 1]
-        a[:len(kept)] = kept
-    elif isinstance(act, ReferenceActivation):
+        p = np.zeros(k_max + 1)
+        kept = act.pgf.coefficients[:k_max + 1]
+        p[:len(kept)] = kept
+        return p
+    if isinstance(act, ReferenceActivation):
         # E[phi h_k] = scale * (slope * E[X h_k] + (1 - slope) * E[X+ h_k])
         # and E[X h_k] = delta_{k,1} by orthonormality; E[phi^2] = 1.
         a = (1.0 - act.slope) * half_gaussian_hermite_moments(k_max)
@@ -240,14 +226,14 @@ def _series_bivariate(act: HermiteSeriesActivation, s: float) -> float:
 def _dual(act: Activation, s: float) -> float:
     """E[phi(X) phi(Z)] at correlation s in [-1, 1], exactly.
 
-    Series forms: sum_k a_k^2 s^k, at every order.  A reference form is
+    Series forms: their PGF sum_k p_k s^k, at every order.  A reference form is
     scale * (slope * x + (1 - slope) * x+), E[X Z+] = E[X+ Z] = s / 2, and
     E[X+ Z+] is the arc-cosine form j, exact at +-1.
     """
     if isinstance(act, ReferenceActivation):
         j = (math.sqrt((1.0 - s) * (1.0 + s)) + s * (math.pi - math.acos(s))) / math.tau
         return act.scale ** 2 * (act.slope * s + (1.0 - act.slope) ** 2 * j)
-    return math.fsum(a * a * s ** k for k, a in enumerate(act.coefficients))
+    return act.pgf.eval_extended(s)
 
 
 def bivariate_expectation(act: Activation, s: float) -> float:

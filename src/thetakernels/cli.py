@@ -36,6 +36,7 @@ import numpy as np
 
 from .activations import (
     Activation,
+    HermiteSeriesActivation,
     activation_from_coefficients,
     activation_to_pgf,
     reference_activation,
@@ -67,11 +68,11 @@ from .pgf import (
 
 __all__ = ["app", "build_parser"]
 
-#: reproduce-fig1 cases: theta PGF parameters, reference activation name and slope.
+#: reproduce-fig1 cases: theta PGF parameters and reference activation name.
 _FIG1_CASES = {
-    "linear": (dict(theta=-1.0, a=0.99, q=0.99), "linear", None),
-    "prelu-proxy": (dict(theta=1.0, a=1.65, c=0.146), "prelu", 0.25),
-    "relu-proxy": (dict(theta=0.99, a=0.22, c=0.203, r=4.8), "relu", None),
+    "linear": (dict(theta=-1.0, a=0.99, q=0.99), "linear"),
+    "prelu-proxy": (dict(theta=1.0, a=1.65, c=0.146), "prelu(0.25)"),
+    "relu-proxy": (dict(theta=0.99, a=0.22, c=0.203, r=4.8), "relu"),
 }
 
 # JSON true and false are Python bools, which are ints; neither counts as a number.
@@ -139,7 +140,7 @@ def _config_defaults(path: str) -> dict:
     Each key names its flag's dest, except output.path, which sets --out."""
     raw = _read_json(path, "config")
     if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise ConfigError(f"config {path}: root must be a JSON object")
     defaults = {}
     for section, body in raw.items():
         allowed = {key for sec, key in _CONFIG_SCHEMA if sec == section}
@@ -255,11 +256,6 @@ def _build_kernel(args) -> KernelSpec:
     return _kernel_from_json({"kind": args.kind, **record}, "kernel from flags and config")
 
 
-def _theta_activation(f: ThetaPgf, k_max: int) -> Activation:
-    series = theta_pgf_to_series(f, k_max)
-    return activation_from_coefficients(series.coefficients, eps_tail=series.eps_tail)
-
-
 def _build_activation(args) -> Activation:
     if args.coeffs is not None:
         return activation_from_coefficients(_read_csv(args.coeffs)[:, -1])
@@ -267,10 +263,10 @@ def _build_activation(args) -> Activation:
     if source is None:
         source = "theta" if args.theta is not None else "reference"
     if source == "theta":
-        return _theta_activation(_build_theta_pgf(args), args.k_max)
+        return HermiteSeriesActivation(theta_pgf_to_series(_build_theta_pgf(args), args.k_max))
     if args.name is None:
         raise ConfigError("missing required parameter: --name")
-    return reference_activation(args.name, args.slope)
+    return reference_activation(args.name)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +345,8 @@ def _cmd_pgf_coeffs(args) -> None:
 def _grid(args) -> np.ndarray:
     lo, hi, step = args.x_min, args.x_max, args.step
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo and step > 0):
-        raise ConfigError(f"bad grid: [{lo}, {hi}] step {step}")
+        raise ConfigError(f"bad grid: need finite --x-min < --x-max and --step > 0, "
+                          f"got {lo}, {hi} and {step}")
     count = int(round((hi - lo) / step))
     return np.linspace(lo, hi, count + 1)
 
@@ -467,10 +464,11 @@ def _cmd_gp_predict(args) -> None:
 
 
 def _cmd_reproduce_fig1(args) -> None:
-    params, name, slope = _FIG1_CASES[args.case]
+    params, name = _FIG1_CASES[args.case]
     xs = np.linspace(-3.0, 3.0, 601)
-    theta_vals = _theta_activation(make_theta_pgf(**params), args.k_max)(xs)
-    ref_vals = reference_activation(name, slope)(xs)
+    theta_vals = HermiteSeriesActivation(
+        theta_pgf_to_series(make_theta_pgf(**params), args.k_max))(xs)
+    ref_vals = reference_activation(name)(xs)
     _write_table(args.out, ["x", "theta_activation", "reference"],
                  list(zip(xs, theta_vals, ref_vals)))
     window = np.abs(xs) <= 2.0 + 1e-12
@@ -518,8 +516,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         _add_pgf_flags(s)
         s.add_argument("--source", choices=("theta", "reference"), default=None)
         s.add_argument("--name", type=str, default=None,
-                       help="reference activation: relu, linear, prelu(SLOPE)")
-        s.add_argument("--slope", type=float, default=None)
+                       help="reference activation: relu, linear or prelu(S)")
         s.add_argument("--coeffs", type=str, default=None,
                        help="CSV of PGF coefficients to build the activation from")
         s.add_argument("--k-max", type=int, default=DEFAULT_SERIES_K)

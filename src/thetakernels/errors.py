@@ -30,7 +30,6 @@ __all__ = [
     "ZeroNormLayer",
     "FactorizationFailed",
     "ConfigError",
-    "InvalidRegime",
 ]
 
 
@@ -44,11 +43,6 @@ class RegimeViolation(ThetaKernelError, ValueError):
 
 class DerivedCMismatch(RegimeViolation):
     """A supplied c disagrees with the value derived from (theta, a, q, r)."""
-
-
-# The c-mixed kernel constructors reject theta outside (0, 1] and
-# non-positive c_k with the same semantics as a regime violation.
-InvalidRegime = RegimeViolation
 
 
 class DomainError(ThetaKernelError, ValueError):

@@ -44,7 +44,6 @@ from .errors import (
     DomainError,
     EmptySequence,
     IndexOutOfRange,
-    InvalidRegime,
     RegimeViolation,
     UnknownSumConvergence,
     ZeroVector,
@@ -93,7 +92,7 @@ class PureKernel:
     depth: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "depth", _order(self.depth, "depth", 1, InvalidRegime))
+        object.__setattr__(self, "depth", _order(self.depth, "depth", 1, RegimeViolation))
 
 
 #: A mixed kernel is the composition of its factors, innermost first.
@@ -109,11 +108,11 @@ class CMixedKernel:
 
     def __post_init__(self) -> None:
         if not (_finite(self.theta) and 0.0 < self.theta <= 1.0):
-            raise InvalidRegime(f"c-mixed kernels need theta in (0, 1], got {self.theta!r}")
+            raise RegimeViolation(f"c-mixed kernels need theta in (0, 1], got {self.theta!r}")
         if len(self.c_sequence) == 0:
             raise EmptySequence("c-mixed kernel needs at least one c value")
         if not all(_finite(c) and c > 0.0 for c in self.c_sequence):
-            raise InvalidRegime(f"c-mixed kernels need all c > 0, got {self.c_sequence!r}")
+            raise RegimeViolation(f"c-mixed kernels need all c > 0, got {self.c_sequence!r}")
         object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "c_sequence", tuple(float(c) for c in self.c_sequence))
 
@@ -179,8 +178,7 @@ def _as_rho_array(rho) -> tuple[np.ndarray, bool]:
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     if not (np.all(arr >= -1.0) and np.all(arr <= 1.0)):
-        error = DomainError if np.isnan(arr).any() else InvalidRegime
-        raise error(f"correlation must lie in [-1, 1], got {rho!r}")
+        raise DomainError(f"correlation must lie in [-1, 1], got {rho!r}")
     return arr, scalar
 
 
@@ -205,7 +203,8 @@ _BLOCK = 2 ** 15
 
 
 def kernel_at_rho(spec: KernelSpec, rho):
-    """Kernel value as a function of the correlation (scalar or array)."""
+    """Kernel value as a function of the correlation (scalar or array);
+    DomainError for a correlation outside [-1, 1] or NaN."""
     arr, scalar = _as_rho_array(rho)
     evaluate = _kernel_evaluator(spec)
     flat = arr.reshape(-1)
@@ -257,7 +256,7 @@ def kernel_limit(spec: KernelSpec, rho, c_sum: float | None = None):
         elif _finite(c_sum) and c_sum >= math.fsum(spec.c_sequence) - 1e-12:
             out = make_theta_pgf(theta=spec.theta, a=1.0, c=c_sum).eval_extended(arr)
         else:
-            raise InvalidRegime(
+            raise RegimeViolation(
                 f"c_sum = {c_sum!r} is not a valid total for the given prefix")
     elif c_sum is not None:
         raise DomainError(f"c_sum applies to c-mixed kernels only, got c_sum = {c_sum!r}")
@@ -401,10 +400,6 @@ class Eigensystem:
     dimension: int
     lambdas: tuple[float, ...]
     multiplicities: tuple[int, ...]
-
-    @property
-    def k_max(self) -> int:
-        return len(self.lambdas) - 1
 
     def records(self) -> list[dict]:
         return [{"k": k, "lambda": self.lambdas[k], "multiplicity": self.multiplicities[k]}

@@ -23,7 +23,7 @@ from thetakernels.errors import (
     NumericalInstability,
 )
 from thetakernels.hermite import gauss_hermite_rule, half_gaussian_rule, hermite_design
-from thetakernels.pgf import make_theta_pgf, theta_coefficients
+from thetakernels.pgf import SeriesPgf, make_theta_pgf, theta_coefficients
 
 from conftest import ALL_CASES, draw_case
 
@@ -39,6 +39,11 @@ _PARITY_GRID = np.array([-1e308, -5.0, -1.0, -0.3, -5e-324, -0.0, 0.0, 5e-324,
                          0.3, 1.0, 5.0, 1e308, math.nan])
 
 
+def _named(name, slope):
+    # the one spelling of a (name, slope) case: relu, linear or prelu(S)
+    return reference_activation(name if slope is None else f"prelu({slope!r})")
+
+
 class TestReferenceActivation:
     def test_relu_values(self):
         relu = reference_activation("relu")
@@ -52,12 +57,12 @@ class TestReferenceActivation:
         assert linear(-3.7) == -3.7
 
     def test_prelu_negative_side(self):
-        act = reference_activation("prelu", 0.25)
+        act = reference_activation("prelu(0.25)")
         scale = math.sqrt(2.0 / (1.0 + 0.0625))
         assert act(-2.0) == pytest.approx(-0.5 * scale, abs=1e-15)
         assert act(2.0) == pytest.approx(2.0 * scale, abs=1e-15)
 
-    @pytest.mark.parametrize("spelling", ["prelu(0.25)", "prelu:0.25", "PRELU(0.25)"])
+    @pytest.mark.parametrize("spelling", ["prelu(0.25)", "PRELU(0.25)"])
     def test_slope_inside_name(self, spelling):
         act = reference_activation(spelling)
         assert act.slope == 0.25
@@ -67,18 +72,22 @@ class TestReferenceActivation:
             reference_activation("gelu")
         with pytest.raises(DomainError):
             reference_activation("prelu")
-        with pytest.raises(DomainError):
-            reference_activation("prelu(0.3)", slope=0.5)
-        with pytest.raises(DomainError):
-            reference_activation("relu", slope=0.5)
         with pytest.raises(DomainError):     # slope^2 overflows: scale 0, phi = 0
-            reference_activation("prelu", -1e160)
+            reference_activation("prelu(-1e160)")
+
+    @pytest.mark.parametrize("name", ["prelu0.25", "prelu)0.25(", "prelu((0.25",
+                                      "prelu:0.25", "prelu::0.25", "prelu()", "prelu(x)"])
+    def test_malformed_prelu_names(self, name):
+        # prelu(S) is the one spelling with a slope; the first five read as
+        # prelu(0.25) when the parser stripped "():" around the slope
+        with pytest.raises(DomainError, match="relu, linear or prelu"):
+            reference_activation(name)
 
     @pytest.mark.parametrize("name,slope", [("relu", None), ("linear", None),
                                             ("prelu", 0.25), ("prelu", -0.5)])
     def test_unit_second_moment(self, name, slope):
         # split at the kink so each piece is smooth for the half-range rule
-        act = reference_activation(name, slope)
+        act = _named(name, slope)
         t, w = half_gaussian_rule()
         moment = float(np.sum(w * (act(t) ** 2 + act(-t) ** 2)))
         assert moment == pytest.approx(1.0, abs=1e-12)
@@ -94,7 +103,7 @@ class TestReferenceActivation:
         # the select form scale * where(x > 0, x, slope * x) is the
         # reference, bit for bit on finite inputs and NaN, contiguous,
         # strided and scalar; the zeros are pinned by the next test
-        act = reference_activation(name, slope)
+        act = _named(name, slope)
         rng = np.random.default_rng(12)
         grid = np.concatenate([_PARITY_GRID, rng.standard_normal(64),
                                1e300 * rng.standard_normal(8)])
@@ -117,7 +126,7 @@ class TestReferenceActivation:
     def test_zero_keeps_its_sign(self, name, slope):
         # the select form gave -0.0 for +0.0 (and +0.0 for -0.0) at negative
         # slopes; relu(-0.0) stays -0.0, as the CLI prints it
-        act = reference_activation(name, slope)
+        act = _named(name, slope)
         for x in (-0.0, 0.0):
             assert act(x) == 0.0
             assert math.copysign(1.0, act(x)) == math.copysign(1.0, x)
@@ -132,7 +141,7 @@ class TestReferenceActivation:
     ])
     def test_infinities(self, name, slope, at_minus_inf):
         # the limits, with no warning (RuntimeWarnings are errors here)
-        act = reference_activation(name, slope)
+        act = _named(name, slope)
         assert act(math.inf) == math.inf
         assert act(-math.inf).hex() == at_minus_inf.hex()
         assert [v.hex() for v in act(np.array([-math.inf, math.inf])).tolist()] == \
@@ -144,7 +153,7 @@ class TestReferenceActivation:
         # the value is the product slope * scale * x (no warning: warnings
         # are errors here), and -inf or inf only where that leaves the range
         mpmath = pytest.importorskip("mpmath")
-        act = reference_activation("prelu", slope)
+        act = reference_activation(f"prelu({slope})")
         for x in (-1e308, -7e307):
             with mpmath.workdps(60):
                 exact = mpmath.mpf(slope) * mpmath.mpf(act.scale) * mpmath.mpf(x)
@@ -155,7 +164,7 @@ class TestReferenceActivation:
     @pytest.mark.parametrize("name,slope", _PARITY_CASES)
     def test_extremes_do_not_warn(self, name, slope):
         # prelu(2.5) at 1e308: the discarded 2.5 * x is past the float range
-        act = reference_activation(name, slope)
+        act = _named(name, slope)
         grid = np.array([-math.inf, -1e308, -1e300, 1e300, 1e308, math.inf])
         act(grid)
         for x in grid.tolist():
@@ -164,12 +173,12 @@ class TestReferenceActivation:
 
 class TestSeriesActivation:
     def test_pure_linear_coefficients(self):
-        act = HermiteSeriesActivation((0.0, 1.0))
+        act = HermiteSeriesActivation(SeriesPgf((0.0, 1.0)))
         assert act(1.3) == pytest.approx(1.3, abs=1e-15)
         assert act.k_max == 1
 
     def test_quadratic_term(self):
-        act = HermiteSeriesActivation((0.0, 0.0, 1.0))
+        act = HermiteSeriesActivation(SeriesPgf((0.0, 0.0, 1.0)))
         x = 0.7
         assert act(x) == pytest.approx(hermite_design(2, x)[2, 0], abs=1e-14)
 
@@ -194,17 +203,29 @@ class TestSeriesActivation:
 
     def test_budget_enforced_at_construction(self):
         with pytest.raises(InvalidCoefficients):
-            HermiteSeriesActivation((1.0, 0.5))
+            HermiteSeriesActivation(SeriesPgf((1.0, 0.25)))
 
     @pytest.mark.parametrize("eps_tail", [math.nan, -1.0, math.inf])
     def test_eps_tail_checked(self, eps_tail):
+        # the tail mass lives on the activation's SeriesPgf, checked there
         with pytest.raises(InvalidCoefficients):
-            HermiteSeriesActivation((0.5,), eps_tail=eps_tail)
-        with pytest.raises(InvalidCoefficients):
-            activation_from_coefficients([0.25], eps_tail=eps_tail)
+            SeriesPgf((0.25,), eps_tail=eps_tail)
+
+    def test_is_its_pgf(self):
+        pgf = SeriesPgf((0.25, 0.5), eps_tail=0.125)
+        act = HermiteSeriesActivation(pgf)
+        assert act.pgf is pgf and act.k_max == 1
+        assert act.coefficients == (0.5, math.sqrt(0.5))
+        assert not hasattr(act, "eps_tail")
+
+    @pytest.mark.parametrize("pgf", [(0.5, 0.5), [0.25], None,
+                                     make_theta_pgf(theta=0.5, a=0.5, q=0.3)])
+    def test_needs_a_series_pgf(self, pgf):
+        with pytest.raises(DomainError, match="SeriesPgf"):
+            HermiteSeriesActivation(pgf)
 
     def test_shape_preserved(self):
-        act = HermiteSeriesActivation((0.5, 0.5))
+        act = HermiteSeriesActivation(SeriesPgf((0.25, 0.25)))
         grid = np.zeros((2, 3))
         assert act(grid).shape == (2, 3)
 
@@ -223,7 +244,7 @@ class TestActivationToPgf:
         assert np.allclose(np.delete(p, 1), 0.0, atol=1e-14)
 
     def test_prelu_order_one(self):
-        act = reference_activation("prelu", 0.25)
+        act = reference_activation("prelu(0.25)")
         p = activation_to_pgf(act, 2)
         expected = act.scale ** 2 * (0.25 + 0.75 * 0.5) ** 2
         assert p[1] == pytest.approx(expected, abs=1e-12)
@@ -233,6 +254,13 @@ class TestActivationToPgf:
         act = activation_from_coefficients(original)
         recovered = activation_to_pgf(act, 5)
         assert np.max(np.abs(recovered - original)) < 1e-12
+
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_series_returns_its_pgf_exactly(self, case):
+        # p_k, not sqrt(p_k)^2: squaring a_k = sqrt(p_k) back missed p_k in
+        # the last bit in 265 of these 585 rows
+        p = theta_coefficients(draw_case(case, np.random.default_rng(800 + case)), 64)
+        assert np.array_equal(activation_to_pgf(activation_from_coefficients(p), 64), p)
 
     def test_series_padded_and_truncated(self):
         original = np.array([0.1, 0.3, 0.2, 0.05, 0.0, 0.15])
@@ -296,7 +324,7 @@ class TestBivariate:
     def test_endpoints(self):
         # E[phi^2] = 1, and phi(-x) phi(x) = slope * scale^2 * x^2 up to sign
         for name, slope in _PARITY_CASES:
-            act = reference_activation(name, slope)
+            act = _named(name, slope)
             assert bivariate_expectation(act, 1.0) == pytest.approx(1.0, abs=1e-15), name
             assert bivariate_expectation(act, -1.0) == pytest.approx(
                 -act.slope * act.scale ** 2, abs=1e-15), name
@@ -307,7 +335,7 @@ class TestBivariate:
         assert bivariate_expectation(linear, s) == pytest.approx(s, abs=1e-12)
 
     def test_prelu_routes_agree(self):
-        act = reference_activation("prelu", 0.25)
+        act = reference_activation("prelu(0.25)")
         p = activation_to_pgf(act, 96)
         for s in (-0.9, -0.3, 0.0, 0.4, 0.9):
             series_sum = float(np.polyval(p[::-1], s))

@@ -190,6 +190,20 @@ class TestActivationCommands:
         expected = scale_sq * (0.25 + 0.75 * 0.5) ** 2
         assert _load_csv(out)[1, 1] == pytest.approx(expected, abs=1e-12)
 
+    def test_slope_flag_removed(self, capsys):
+        # a slope is part of the name, prelu(S)
+        with pytest.raises(SystemExit):
+            app(["activation-to-pgf", "--name", "prelu", "--slope", "0.25"])
+
+    def test_theta_to_pgf_writes_the_pgf_coefficients(self, tmp_path):
+        # a theta activation holds its PGF, so recovery returns its p_k bit
+        # for bit; rebuilding them as sqrt(p_k)^2 changed 27 of 65 rows
+        flags = ["--theta", "0.5", "--a", "0.5", "--q", "0.3", "--k-max", "64"]
+        recovered, coeffs = tmp_path / "recovered.csv", tmp_path / "coeffs.csv"
+        assert app(["activation-to-pgf", *flags, "--out", str(recovered)]) == 0
+        assert app(["pgf-coeffs", *flags, "--out", str(coeffs)]) == 0
+        assert recovered.read_bytes() == coeffs.read_bytes()
+
 
 class TestKernelCommands:
     def test_eval_pure(self, capsys):
@@ -328,6 +342,12 @@ class TestMlpStudy:
     def test_fractional_widths_rejected(self, capsys):
         assert app(["mlp-study", "--widths", "16.7,32.2", "--samples", "100"]) == 2
         assert "--widths" in capsys.readouterr().err
+
+    def test_malformed_activation_name(self, capsys):
+        # read as prelu(0.5) when the parser stripped "():" around the slope
+        assert app(["mlp-study", "--activation", "prelu)0.5(", "--widths", "16",
+                    "--samples", "150"]) == 2
+        assert "prelu)0.5(" in capsys.readouterr().err
 
     def test_rho_range(self, capsys):
         assert app(["mlp-study", "--widths", "16", "--samples", "150",
@@ -477,7 +497,7 @@ class TestInputErrors:
         ({"points.csv": "1.0,0.0\n1.0,abc\n"}, _GRAM, "{d}/points.csv"),
         ({}, _CONFIG, "{d}/config.json"),
         ({"config.json": "{"}, _CONFIG, "{d}/config.json"),
-        ({"config.json": "[]"}, _CONFIG, "config"),
+        ({"config.json": "[]"}, _CONFIG, "{d}/config.json"),
         ({"factors.json": "[1.0]"},
          ["kernel-eval", "--kind", "mixed", "--factors", "{d}/factors.json", "--rho", "0"],
          "factor 0"),
@@ -488,7 +508,7 @@ class TestInputErrors:
          "model kernel record"),
         ({}, ["activation-curve", "--source", "reference"], "--name"),
         ({}, ["activation-curve", "--name", "relu", "--x-min", "1", "--x-max", "0"],
-         "grid"),
+         "--x-min"),
         ({}, ["kernel-eval", *_PURE], "--rho"),
         ({}, ["kernel-limit", *_PURE, "--rho", "0", "--c-sum", "-3"], "c_sum"),
         ({}, ["mlp-study"], "--widths"),

@@ -10,11 +10,11 @@ import pytest
 from thetakernels import gp
 from thetakernels.activations import (HermiteSeriesActivation, ReferenceActivation,
                                       reference_activation)
-from thetakernels.errors import (DomainError, InvalidCoefficients, InvalidRegime,
-                                 NumericalInstability, ThetaKernelError)
+from thetakernels.errors import (DomainError, InvalidCoefficients, NumericalInstability,
+                                 RegimeViolation, ThetaKernelError)
 from thetakernels.hermite import hermite_series
 from thetakernels.kernels import CMixedKernel, PureKernel, kernel_limit
-from thetakernels.pgf import make_theta_pgf
+from thetakernels.pgf import SeriesPgf, make_theta_pgf
 
 F = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
 K = PureKernel(F, 2)
@@ -40,15 +40,14 @@ def _with_nan_entry(name, call):
 
 @pytest.mark.parametrize("call, error", [
     (lambda: reference_activation("prelu(abc)"), DomainError),
-    (lambda: reference_activation("linear", True), DomainError),
     (lambda: ReferenceActivation(float("nan")), DomainError),
     (lambda: ReferenceActivation(True), DomainError),
     (lambda: ReferenceActivation(1e200), DomainError),
     (lambda: hermite_series([], 0.5), InvalidCoefficients),
-    (lambda: HermiteSeriesActivation((0.5, -0.1)), InvalidCoefficients),
-    (lambda: HermiteSeriesActivation((0.5, float("nan"))), InvalidCoefficients),
-    (lambda: CMixedKernel(True, (0.5,)), InvalidRegime),
-    (lambda: CMixedKernel(0.5, (True,)), InvalidRegime),
+    (lambda: HermiteSeriesActivation(SeriesPgf((0.25, -0.1))), InvalidCoefficients),
+    (lambda: HermiteSeriesActivation(SeriesPgf((0.25, float("nan")))), InvalidCoefficients),
+    (lambda: CMixedKernel(True, (0.5,)), RegimeViolation),
+    (lambda: CMixedKernel(0.5, (True,)), RegimeViolation),
     (lambda: kernel_limit(PureKernel(F, 1), 0.5, c_sum=-5.0), DomainError),
     (lambda: gp.fit(K, X, [1.0, np.nan, 1.0]), DomainError),
     (lambda: gp.fit(K, X, [1.0, np.inf, 1.0]), DomainError),
@@ -58,7 +57,7 @@ def _with_nan_entry(name, call):
     (_with_nan_entry("gram", lambda model: gp.fit(K, X, Y)), NumericalInstability),
     (_with_nan_entry("cross_gram", lambda model: gp.predict(model, X)),
      NumericalInstability),
-], ids=["prelu-slope", "linear-bool-slope", "nan-slope", "bool-slope", "slope-square-overflows",
+], ids=["prelu-slope", "nan-slope", "bool-slope", "slope-square-overflows",
         "empty-series", "negative-hermite-coefficient", "nan-hermite-coefficient",
         "cmixed-bool-theta", "cmixed-bool-c", "pure-limit-c-sum", "gp-nan-target",
         "gp-inf-target", "gp-inf-noise", "gp-nan-noise", "gp-bool-noise", "gp-nan-gram",

@@ -15,7 +15,6 @@ from thetakernels.errors import (
     DomainError,
     EmptySequence,
     IndexOutOfRange,
-    InvalidRegime,
     NumericalInstability,
     RegimeViolation,
     UnknownSumConvergence,
@@ -103,9 +102,9 @@ class TestCorrelation:
 class TestSpecValidation:
     def test_pure_depth(self):
         f = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
-        with pytest.raises(InvalidRegime):
+        with pytest.raises(RegimeViolation):
             PureKernel(f, 0)
-        with pytest.raises(InvalidRegime):
+        with pytest.raises(RegimeViolation):
             PureKernel(f, 1.5)
 
     def test_mixed_empty(self):
@@ -113,11 +112,11 @@ class TestSpecValidation:
             MixedKernel(())
 
     def test_cmixed_theta_range(self):
-        with pytest.raises(InvalidRegime):
+        with pytest.raises(RegimeViolation):
             CMixedKernel(0.0, (1.0,))
-        with pytest.raises(InvalidRegime):
+        with pytest.raises(RegimeViolation):
             CMixedKernel(1.5, (1.0,))
-        with pytest.raises(InvalidRegime):
+        with pytest.raises(RegimeViolation):
             CMixedKernel(0.5, (1.0, -0.1))
         with pytest.raises(EmptySequence):
             CMixedKernel(0.5, ())
@@ -168,8 +167,10 @@ class TestClosedFormAgainstComposition:
 
     def test_rho_outside_range(self):
         f = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
-        with pytest.raises(InvalidRegime):
+        with pytest.raises(DomainError):
             kernel_at_rho(PureKernel(f, 1), 1.5)
+        with pytest.raises(DomainError):
+            kernel_limit(PureKernel(f, 1), 1.5)
 
     @pytest.mark.parametrize("kind", ["theta", "series", "cmixed"])
     @pytest.mark.parametrize("rho", [math.nan, [0.5, math.nan]])
@@ -306,7 +307,7 @@ class TestLimits:
 
     def test_cmixed_total_below_prefix(self):
         spec = CMixedKernel(0.5, (1.0, 1.0))
-        with pytest.raises(InvalidRegime):
+        with pytest.raises(RegimeViolation):
             kernel_limit(spec, 0.0, c_sum=0.5)
 
     def test_unsupported_specs(self):
@@ -446,8 +447,8 @@ class TestBlockedEvaluation:
         assert np.array_equal(kernel_at_rho(spec, matrix), flat.reshape(3, -1))
         assert np.array_equal(kernel_at_rho(spec, matrix.T), flat.reshape(3, -1).T)
 
-    @pytest.mark.parametrize("bad, error", [(math.nan, DomainError), (1.5, InvalidRegime),
-                                            (-1.0 - 1e-12, InvalidRegime)])
+    @pytest.mark.parametrize("bad, error", [(math.nan, DomainError), (1.5, DomainError),
+                                            (-1.0 - 1e-12, DomainError)])
     def test_bad_value_in_last_block_raises(self, bad, error):
         rho = self._correlations()
         rho[-1] = bad

@@ -29,7 +29,7 @@ from thetakernels.mlp import (
     sample_mlp_output,
     worker_count,
 )
-from thetakernels.pgf import make_theta_pgf, theta_coefficients
+from thetakernels.pgf import SeriesPgf, make_theta_pgf, theta_coefficients
 
 RELU = reference_activation("relu")
 LINEAR = reference_activation("linear")
@@ -367,7 +367,7 @@ class TestReferenceValue:
         assert reference_kernel_value(config, 0.4) == pytest.approx(
             _relu_closed_form(0.4), abs=1e-8)
         config = MlpConfig(widths=(2, 64, 64, 1),
-                           activations=(reference_activation("prelu", -0.5), RELU), seed=0)
+                           activations=(reference_activation("prelu(-0.5)"), RELU), seed=0)
         assert reference_kernel_value(config, 0.4) == pytest.approx(
             _relu_closed_form(_prelu_closed_form(-0.5, 0.4)), abs=1e-8)
 
@@ -410,8 +410,8 @@ class TestReferenceValue:
         assert abs(est.value - reference) < 3.0 * est.standard_error
 
     def test_zero_series_raises(self):
-        config = MlpConfig(widths=(2, 8, 1), activations=HermiteSeriesActivation((0.0,)),
-                           seed=0)
+        config = MlpConfig(widths=(2, 8, 1),
+                           activations=HermiteSeriesActivation(SeriesPgf((0.0,))), seed=0)
         with pytest.raises(ZeroNormLayer):
             reference_kernel_value(config, 0.5)
 

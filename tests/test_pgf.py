@@ -14,7 +14,6 @@ from thetakernels.errors import (
     DomainError,
     EmptySequence,
     InvalidCoefficients,
-    InvalidRegime,
     NumericalInstability,
     RegimeViolation,
 )
@@ -637,7 +636,7 @@ class TestPinnedNearZeroTheta:
     pytest.param(lambda k: pgf_iterate_closed(make_theta_pgf(theta=0.5, a=1.5, c=0.3), k),
                  2, DomainError, id="pgf_iterate_closed"),
     pytest.param(lambda k: PureKernel(make_theta_pgf(theta=0.5, a=1.5, c=0.3), k), 2,
-                 InvalidRegime, id="PureKernel"),
+                 RegimeViolation, id="PureKernel"),
     pytest.param(lambda k: multiplicity(k, 3), 4, DimensionUnsupported, id="multiplicity_m"),
     pytest.param(lambda k: multiplicity(5, k), 3, DomainError, id="multiplicity_k"),
     pytest.param(lambda k: eigensystem(PureKernel(make_theta_pgf(theta=1.0, a=1.0, c=1.0), 2),
