@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Sequence, Union, get_args
 
 import numpy as np
 
@@ -137,6 +137,13 @@ class ReferenceActivation:
 
 
 Activation = Union[HermiteSeriesActivation, ReferenceActivation]
+
+
+def _check_activation(act) -> None:
+    """DomainError unless act is an ``Activation`` form, the forms with an exact dual."""
+    if not isinstance(act, get_args(Activation)):
+        raise DomainError("activations must be HermiteSeriesActivation or "
+                          f"ReferenceActivation, got {act!r}")
 
 
 def activation_from_coefficients(p: Sequence[float]) -> HermiteSeriesActivation:
@@ -245,7 +252,9 @@ def bivariate_expectation(act: Activation, s: float) -> float:
     phi(x) phi(s x + beta y), of degree 2 * k_max in x and k_max in y
     (NumericalInstability beyond k_max 369, where numpy's rule fails).  It
     shares no code with sum_k p_k s^k, which tests compare it against.
+    Any other callable raises DomainError.
     """
+    _check_activation(act)
     s = float(s)
     if not -1.0 <= s <= 1.0:
         raise DomainError(f"correlation must lie in [-1, 1], got {s}")

@@ -8,7 +8,7 @@ studies; GP fit and predict; and the activation-comparison figure data.
 Conventions shared by every subcommand:
 
     exit 0  success, outputs written;
-    exit 2  invalid input (one-line diagnostic on stderr);
+    exit 2  invalid input or unwritable output (one-line diagnostic on stderr);
     exit 3  numerical failure (instability, factorization, zero norms);
     long flags only, full double-precision decimal output, CSV with header.
 
@@ -157,19 +157,10 @@ def _config_defaults(path: str) -> dict:
 # Shared builders
 # ---------------------------------------------------------------------------
 
-class _StoreC(argparse.Action):
-    """--c fills both dests its config keys fill: c (pgf.c, read by single
-    PGFs and pure kernels) and c_sequence (kernel.c_sequence, read by c-mixed
-    kernels), so the flag beats either key."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        namespace.c = namespace.c_sequence = values
-
-
 def _add_pgf_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--theta", type=float, default=None)
     sub.add_argument("--a", type=float, default=None)
-    sub.add_argument("--c", type=str, default=None, action=_StoreC,
+    sub.add_argument("--c", type=str, default=None,
                      help="PGF constant; comma list for c-mixed kernels")
     sub.add_argument("--q", type=float, default=None)
     sub.add_argument("--r", type=float, default=None)
@@ -177,11 +168,11 @@ def _add_pgf_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _parse(cast, raw, what: str):
-    """cast(raw); a ValueError becomes a ConfigError naming the flag."""
+    """cast(raw); a ValueError becomes a ConfigError naming the flag and why."""
     try:
         return cast(raw)
-    except ValueError:
-        raise ConfigError(f"cannot parse {what} from {raw!r}")
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse {what} from {raw!r}: {exc}")
 
 
 def _c_list(raw, what: str, cast=float) -> tuple:
@@ -247,9 +238,9 @@ def _build_kernel(args) -> KernelSpec:
     if args.kind == "pure":
         record = {"depth": args.depth, "pgf": _pgf_record(args)}
     elif args.kind == "cmixed":
-        cs = args.c_sequence
-        record = {"theta": args.theta,
-                  "c_sequence": list(_c_list(cs, "--c")) if isinstance(cs, str) else cs}
+        # --c, a string, beats kernel.c_sequence; pgf.c, a number, is a pure-kernel key.
+        cs = list(_c_list(args.c, "--c")) if isinstance(args.c, str) else args.c_sequence
+        record = {"theta": args.theta, "c_sequence": cs}
     else:
         record = {"factors": None if args.factors is None
                   else _read_json(args.factors, "factors file")}
@@ -266,7 +257,7 @@ def _build_activation(args) -> Activation:
         return HermiteSeriesActivation(theta_pgf_to_series(_build_theta_pgf(args), args.k_max))
     if args.name is None:
         raise ConfigError("missing required parameter: --name")
-    return reference_activation(args.name)
+    return _parse(reference_activation, args.name, "--name")
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +289,12 @@ def _read_csv(path: str) -> np.ndarray:
 def _write(path: str | None, emit) -> None:
     """Run emit on the file at path, or on stdout when path is None."""
     if path is None:
-        emit(sys.stdout)
-    else:
+        return emit(sys.stdout)
+    try:
         with open(path, "w", newline="") as handle:
             emit(handle)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}")
 
 
 def _write_table(path: str | None, header: Sequence[str],
@@ -344,9 +337,9 @@ def _cmd_pgf_coeffs(args) -> None:
 
 def _grid(args) -> np.ndarray:
     lo, hi, step = args.x_min, args.x_max, args.step
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo and step > 0):
-        raise ConfigError(f"bad grid: need finite --x-min < --x-max and --step > 0, "
-                          f"got {lo}, {hi} and {step}")
+    if not (hi > lo and step > 0 and math.isfinite((hi - lo) / step)):
+        raise ConfigError(f"bad grid: need --x-min < --x-max and --step > 0 with a finite "
+                          f"(x_max - x_min) / step, got {lo}, {hi} and {step}")
     count = int(round((hi - lo) / step))
     return np.linspace(lo, hi, count + 1)
 
@@ -421,7 +414,7 @@ _MODEL_KEYS = ("kernel", "inputs", "targets", "noise")
 
 
 def _kernel_to_json(spec: KernelSpec) -> dict:
-    if isinstance(spec, PureKernel) and isinstance(spec.f, ThetaPgf):
+    if isinstance(spec, PureKernel):
         return {"kind": "pure", "depth": spec.depth, "pgf": _pgf_to_json(spec.f)}
     if isinstance(spec, CMixedKernel):
         return {"kind": "cmixed", "theta": spec.theta,

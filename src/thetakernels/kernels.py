@@ -5,18 +5,18 @@ K(x, z) = f(rho(x, z)) on unit vectors through the correlation
 rho(x, z) = <x/|x|, z/|z|>.  Composing PGFs composes kernels, giving three
 constructions:
 
-    pure:     the n-fold self-composition of one f,
+    pure:     the n-fold self-composition of one theta PGF f,
     mixed:    f_n o ... o f_1 for distinct factors, which is the composed PGF
               itself (``MixedKernel`` is ``ComposedPgf``),
     c-mixed:  the mixed kernel over the critical one-parameter family
               f_k(s) = 1 - ((1 - s)**(-theta) + c_k)**(-1/theta).
 
-For theta-form factors every pure kernel has a closed form obtained by
-iterating parameters instead of composing evaluations; c-mixed kernels
-collapse to a single closed form in sum(c_k); their depth -> infinity limit
-takes the full sum (math.inf if it diverges).  Infinite-depth limits and the
-spherical-harmonic eigensystem (eigenvalues surf(m) * p_k / r(m, k) with
-multiplicities r(m, k)) complete the picture.
+Every pure kernel has a closed form obtained by iterating parameters instead
+of composing evaluations; any other PGF f composes as ``MixedKernel((f,) * n)``.
+c-mixed kernels collapse to a single closed form in sum(c_k); their depth ->
+infinity limit takes the full sum (math.inf if it diverges).  Infinite-depth
+limits and the spherical-harmonic eigensystem (eigenvalues surf(m) * p_k /
+r(m, k) with multiplicities r(m, k)) complete the picture.
 
 Values at rho = 1 are assigned analytically wherever the closed form passes
 through (1 - rho)**(-theta): float evaluation at the singularity would
@@ -86,12 +86,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PureKernel:
-    """n-fold self-composition of a single PGF."""
+    """n-fold self-composition of a theta PGF; RegimeViolation for any other f."""
 
-    f: Pgf
+    f: ThetaPgf
     depth: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.f, ThetaPgf):
+            raise RegimeViolation("a pure kernel iterates a theta-form PGF; compose "
+                                  "any other PGF f as MixedKernel((f,) * n)")
         object.__setattr__(self, "depth", _order(self.depth, "depth", 1, RegimeViolation))
 
 
@@ -186,12 +189,12 @@ def _kernel_evaluator(spec: KernelSpec):
     """The kernel as a function of the correlation, without the range check.
 
     The returned function accepts real or complex z, so the eigensystem
-    reads its coefficients off the same values.  Theta-form pure kernels
-    evaluate the n-fold closed form directly, which holds at depths whose
-    iterated parameters leave the float range; every other spec evaluates
+    reads its coefficients off the same values.  Pure kernels evaluate the
+    n-fold closed form directly, which holds at depths whose iterated
+    parameters leave the float range; every other spec evaluates
     ``spec_to_pgf``.
     """
-    if isinstance(spec, PureKernel) and isinstance(spec.f, ThetaPgf):
+    if isinstance(spec, PureKernel):
         f, depth = spec.f, spec.depth
         return lambda z: _iterate_eval(f, depth, z)
     return spec_to_pgf(spec).eval_extended
@@ -237,7 +240,7 @@ def cmixed_pure_representation(theta: float, c_sequence: Sequence[float],
 def kernel_limit(spec: KernelSpec, rho, c_sum: float | None = None):
     """Depth -> infinity limit of a pure or c-mixed kernel at given correlation.
 
-    Pure theta kernels: supercritical and critical (r = 1, a >= 1) tend to 1
+    Pure kernels: supercritical and critical (r = 1, a >= 1) tend to 1
     everywhere; the subcritical r = 1 branches with theta >= 0 tend to q off
     the diagonal and keep 1 at rho = 1; every other regime tends to q at all
     correlations (these PGFs are defective, so even K_n(1) drains to q).
@@ -260,19 +263,16 @@ def kernel_limit(spec: KernelSpec, rho, c_sum: float | None = None):
                 f"c_sum = {c_sum!r} is not a valid total for the given prefix")
     elif c_sum is not None:
         raise DomainError(f"c_sum applies to c-mixed kernels only, got c_sum = {c_sum!r}")
-    elif isinstance(spec, PureKernel) and isinstance(spec.f, ThetaPgf):
+    elif isinstance(spec, PureKernel):
         f = spec.f
         if f.regime is Regime.MAIN_SUPER:
             out = np.ones_like(arr)
-        elif f.r == 1.0 and (f.regime is Regime.ZERO_1
-                             or (f.regime is Regime.MAIN_SUB_1 and f.theta > 0.0)):
+        elif f.regime is Regime.ZERO_1 or (f.regime is Regime.MAIN_SUB_1 and f.theta > 0.0):
             out = np.where(arr >= 1.0, 1.0, f.q)
         else:
             out = np.full_like(arr, f.q)
     else:
-        raise RegimeViolation(
-            "infinite-depth limits are defined for theta-form pure kernels "
-            "and c-mixed kernels only")
+        raise RegimeViolation("infinite-depth limits exist for pure and c-mixed kernels only")
     return float(out[0]) if scalar else out
 
 
@@ -347,14 +347,11 @@ def cross_gram(spec: KernelSpec, points_a, points_b) -> np.ndarray:
 def spec_to_pgf(spec: KernelSpec) -> Pgf:
     """The single PGF whose evaluation at rho equals the kernel.
 
-    Theta-form pure kernels iterate in closed form; c-mixed kernels collapse
-    to the critical PGF with c = sum c_k; other pure kernels compose their
-    factor depth times, and a mixed kernel already is its composition.
+    Pure kernels iterate in closed form; c-mixed kernels collapse to the
+    critical PGF with c = sum c_k; a mixed kernel already is its composition.
     """
     if isinstance(spec, PureKernel):
-        if isinstance(spec.f, ThetaPgf):
-            return pgf_iterate_closed(spec.f, spec.depth)
-        return ComposedPgf((spec.f,) * spec.depth)
+        return pgf_iterate_closed(spec.f, spec.depth)
     if isinstance(spec, MixedKernel):
         return spec
     if isinstance(spec, CMixedKernel):

@@ -56,11 +56,11 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence, get_args
+from typing import Sequence
 
 import numpy as np
 
-from .activations import Activation, _dual
+from .activations import Activation, _check_activation, _dual
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -104,11 +104,8 @@ class MlpConfig:
         elif len(acts) != self.num_layers:
             raise DomainError(
                 f"mixed config needs {self.num_layers} activations, got {len(acts)}")
-        for act in acts:
-            # reference_kernel_value needs each layer's exact dual.
-            if not isinstance(act, get_args(Activation)):
-                raise DomainError("activations must be HermiteSeriesActivation or "
-                                  f"ReferenceActivation, got {act!r}")
+        for act in acts:   # reference_kernel_value needs each layer's exact dual
+            _check_activation(act)
         object.__setattr__(self, "activations", acts)
         object.__setattr__(self, "seed", _order(self.seed, "seed", None))
 

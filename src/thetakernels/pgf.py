@@ -371,7 +371,7 @@ def pgf_iterate_closed(f: ThetaPgf, n: int) -> ThetaPgf:
     the kernel operations still evaluate such depths.
     """
     if not isinstance(f, ThetaPgf):
-        raise TypeError("closed-form iteration needs a theta-form PGF")
+        raise RegimeViolation("closed-form iteration needs a theta-form PGF")
     n = _order(n, "iteration depth", 1)
     if n == 1:
         return f

@@ -512,10 +512,18 @@ class TestInputErrors:
         ({}, ["kernel-eval", *_PURE], "--rho"),
         ({}, ["kernel-limit", *_PURE, "--rho", "0", "--c-sum", "-3"], "c_sum"),
         ({}, ["mlp-study"], "--widths"),
+        ({}, ["mlp-study", "--activation", "prelu(1e200)", "--widths", "64"],
+         "finite square"),
+        ({}, ["activation-curve", "--name", "prelu(1e200)"], "--name"),
+        ({}, ["pgf-coeffs", "--theta", "1", "--a", "1", "--c", "1",
+              "--out", "{d}/missing/x.csv"], "{d}/missing/x.csv"),
+        ({}, ["activation-curve", "--name", "relu", "--x-min", "0", "--x-max", "1e300",
+              "--step", "1e-300"], "--step"),
     ], ids=["points-missing", "points-empty", "points-header-only", "points-non-numeric",
             "config-missing", "config-not-json", "config-list", "factor-not-object",
             "model-kind", "curve-no-name", "grid-reversed", "eval-no-rho",
-            "pure-limit-c-sum", "study-no-widths"])
+            "pure-limit-c-sum", "study-no-widths", "study-activation-reason",
+            "curve-name-flag", "out-unwritable", "grid-overflow"])
     def test_exit_2_naming_the_source(self, tmp_path, capsys, files, argv, needle):
         for name, text in files.items():
             (tmp_path / name).write_text(text)

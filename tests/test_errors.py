@@ -9,12 +9,12 @@ import pytest
 
 from thetakernels import gp
 from thetakernels.activations import (HermiteSeriesActivation, ReferenceActivation,
-                                      reference_activation)
+                                      bivariate_expectation, reference_activation)
 from thetakernels.errors import (DomainError, InvalidCoefficients, NumericalInstability,
                                  RegimeViolation, ThetaKernelError)
 from thetakernels.hermite import hermite_series
 from thetakernels.kernels import CMixedKernel, PureKernel, kernel_limit
-from thetakernels.pgf import SeriesPgf, make_theta_pgf
+from thetakernels.pgf import SeriesPgf, make_theta_pgf, pgf_iterate_closed
 
 F = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
 K = PureKernel(F, 2)
@@ -49,6 +49,9 @@ def _with_nan_entry(name, call):
     (lambda: CMixedKernel(True, (0.5,)), RegimeViolation),
     (lambda: CMixedKernel(0.5, (True,)), RegimeViolation),
     (lambda: kernel_limit(PureKernel(F, 1), 0.5, c_sum=-5.0), DomainError),
+    (lambda: PureKernel(SeriesPgf((0.5, 0.5)), 2), RegimeViolation),
+    (lambda: pgf_iterate_closed(SeriesPgf((0.5, 0.5)), 2), RegimeViolation),
+    (lambda: bivariate_expectation(lambda x: x, 0.5), DomainError),
     (lambda: gp.fit(K, X, [1.0, np.nan, 1.0]), DomainError),
     (lambda: gp.fit(K, X, [1.0, np.inf, 1.0]), DomainError),
     (lambda: gp.fit(K, X, Y, noise=np.inf), DomainError),
@@ -59,7 +62,8 @@ def _with_nan_entry(name, call):
      NumericalInstability),
 ], ids=["prelu-slope", "nan-slope", "bool-slope", "slope-square-overflows",
         "empty-series", "negative-hermite-coefficient", "nan-hermite-coefficient",
-        "cmixed-bool-theta", "cmixed-bool-c", "pure-limit-c-sum", "gp-nan-target",
+        "cmixed-bool-theta", "cmixed-bool-c", "pure-limit-c-sum", "pure-series-factor",
+        "iterate-series", "bivariate-callable", "gp-nan-target",
         "gp-inf-target", "gp-inf-noise", "gp-nan-noise", "gp-bool-noise", "gp-nan-gram",
         "gp-nan-cross-gram"])
 def test_typed_error(call, error):

@@ -156,7 +156,7 @@ class TestClosedFormAgainstComposition:
 
     def test_series_factor_composes(self):
         f = SeriesPgf((0.5, 0.5))
-        assert kernel_at_rho(PureKernel(f, 2), 0.0) == pytest.approx(0.75, abs=1e-15)
+        assert kernel_at_rho(MixedKernel((f,) * 2), 0.0) == pytest.approx(0.75, abs=1e-15)
 
     def test_vector_front_end(self):
         f = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
@@ -176,7 +176,7 @@ class TestClosedFormAgainstComposition:
     @pytest.mark.parametrize("rho", [math.nan, [0.5, math.nan]])
     def test_nan_correlation(self, kind, rho):
         f = make_theta_pgf(theta=0.5, a=0.5, q=0.3)
-        spec = {"theta": PureKernel(f, 2), "series": PureKernel(SeriesPgf((0.5, 0.5)), 2),
+        spec = {"theta": PureKernel(f, 2), "series": MixedKernel((SeriesPgf((0.5, 0.5)),) * 2),
                 "cmixed": CMixedKernel(0.5, (0.3, 0.2))}[kind]
         with pytest.raises(DomainError):
             kernel_at_rho(spec, rho)
@@ -312,7 +312,7 @@ class TestLimits:
 
     def test_unsupported_specs(self):
         with pytest.raises(RegimeViolation):
-            kernel_limit(PureKernel(SeriesPgf((0.5, 0.5)), 2), 0.0)
+            PureKernel(SeriesPgf((0.5, 0.5)), 2)
         f = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
         with pytest.raises(RegimeViolation):
             kernel_limit(MixedKernel((f, f)), 0.0)
@@ -411,7 +411,7 @@ def _blocked_specs() -> dict:
     return {
         "pure": PureKernel(make_theta_pgf(theta=0.5, a=1.2, c=0.4), 3),
         "cmixed": CMixedKernel(0.6, (0.3, 0.5, 0.2)),
-        "pure-series": PureKernel(series[0], 2),
+        "pure-series": MixedKernel((series[0],) * 2),
         "mixed-series": MixedKernel(tuple(series)),
     }
 
