@@ -10,7 +10,6 @@ from .errors import (
     FactorizationFailed,
     IndexOutOfRange,
     InvalidCoefficients,
-    NotSquareIntegrableWithinBudget,
     NumericalInstability,
     RegimeViolation,
     ThetaKernelError,

@@ -1,9 +1,9 @@
 """Activations dual to PGF coefficient sequences.
 
 A probability sequence (p_k) defines an activation phi(x) = sum_k sqrt(p_k)
-h_k(x) in the orthonormal Hermite basis, and conversely any square-integrable
-activation with E[phi(X)^2] <= 1 induces a coefficient sequence
-p_k = (E[phi(X) h_k(X)])^2.  The bridge identity is
+h_k(x) in the orthonormal Hermite basis, and conversely an activation with
+E[phi(X)^2] <= 1 induces a coefficient sequence p_k = (E[phi(X) h_k(X)])^2.
+The bridge identity is
 
     E[phi(X) phi(Z)] = sum_k p_k s^k     for (X, Z) Gaussian, correlation s,
 
@@ -18,13 +18,12 @@ phi(x) = scale * (x if x > 0 else slope * x): it is its slope, and the scale
 making E[phi(X)^2] = 1 follows; relu is slope 0, linear 1.  By name, a
 reference activation is ``relu``, ``linear`` or ``prelu(S)``.
 
-Coefficient recovery returns a series form's p_k (exact by orthonormality),
-uses closed half-Gaussian moments for reference forms, whose kink at 0
-defeats full-line quadrature rates, and projects any other callable by
-Gauss-Hermite quadrature.  Each form has one exact dual E[phi(X) phi(Z)]:
+Each form maps to its PGF one way, exactly at every order: a series form
+returns its p_k (by orthonormality), and a reference form takes closed
+half-Gaussian moments.  Each form also has one exact dual E[phi(X) phi(Z)]:
 its PGF for a series form and the arc-cosine closed form (Cho and Saul,
 NIPS 2009) for a reference form; the wide-MLP reference kernel composes
-them.
+them.  Any other callable raises DomainError.
 """
 
 from __future__ import annotations
@@ -35,19 +34,8 @@ from typing import Sequence, Union, get_args
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NotSquareIntegrableWithinBudget,
-    NumericalInstability,
-    _finite,
-    _order,
-)
-from .hermite import (
-    gauss_hermite_rule,
-    half_gaussian_hermite_moments,
-    hermite_design,
-    hermite_series,
-)
+from .errors import DomainError, NumericalInstability, _finite, _order
+from .hermite import gauss_hermite_rule, half_gaussian_hermite_moments, hermite_series
 from .pgf import DEFAULT_SERIES_K, SeriesPgf
 
 __all__ = [
@@ -59,10 +47,6 @@ __all__ = [
     "activation_to_pgf",
     "bivariate_expectation",
 ]
-
-#: Gauss-Hermite nodes for projecting a callable that is not a series or
-#: reference form; series bivariates size their rule to k_max instead.
-_QUAD_NODES = 200
 
 _REFERENCE_SLOPES = {"relu": 0.0, "linear": 1.0}
 _SIGN_BIT = np.uint64(1 << 63)
@@ -177,39 +161,27 @@ def reference_activation(name: str) -> ReferenceActivation:
 
 
 def activation_to_pgf(act: Activation, k_max: int = DEFAULT_SERIES_K) -> np.ndarray:
-    """Recover p_k = (E[phi(X) h_k(X)])^2 for k = 0 .. k_max.
+    """Recover p_k = (E[phi(X) h_k(X)])^2 for k = 0 .. k_max, exactly.
 
     Series activations return their PGF's p_k, zero-padded or truncated to
     k_max: exact by orthonormality at every order.  Reference forms use the
     closed half-Gaussian moment recursion: the kink at zero caps full-line
     quadrature at O(n^{-3/2}) accuracy, far short of the 1e-8 oracle
-    tolerance.  Any other callable is projected by a 200-node Gauss-Hermite
-    rule, exact for polynomials of degree below 400.
-
-    Raises NotSquareIntegrableWithinBudget when such a callable's E[phi^2]
-    exceeds 1 + 1e-8.
+    tolerance.  Any other callable raises DomainError.
     """
+    _check_activation(act)
     k_max = _order(k_max, "k_max", 0)
     if isinstance(act, HermiteSeriesActivation):
         p = np.zeros(k_max + 1)
         kept = act.pgf.coefficients[:k_max + 1]
         p[:len(kept)] = kept
         return p
-    if isinstance(act, ReferenceActivation):
-        # E[phi h_k] = scale * (slope * E[X h_k] + (1 - slope) * E[X+ h_k])
-        # and E[X h_k] = delta_{k,1} by orthonormality; E[phi^2] = 1.
-        a = (1.0 - act.slope) * half_gaussian_hermite_moments(k_max)
-        if k_max >= 1:
-            a[1] += act.slope
-        a *= act.scale
-    else:
-        t, w = gauss_hermite_rule(_QUAD_NODES)
-        values = act(t)
-        moment = float(np.sum(w * values * values))
-        if moment > 1.0 + 1e-8:
-            raise NotSquareIntegrableWithinBudget(
-                f"E[phi^2] = {moment} exceeds 1 beyond tolerance; rescale the activation")
-        a = hermite_design(k_max, t) @ (w * values)
+    # E[phi h_k] = scale * (slope * E[X h_k] + (1 - slope) * E[X+ h_k])
+    # and E[X h_k] = delta_{k,1} by orthonormality; E[phi^2] = 1.
+    a = (1.0 - act.slope) * half_gaussian_hermite_moments(k_max)
+    if k_max >= 1:
+        a[1] += act.slope
+    a *= act.scale
     return a * a
 
 

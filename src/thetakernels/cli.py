@@ -335,12 +335,19 @@ def _cmd_pgf_coeffs(args) -> None:
     _write_table(args.out, ["k", "p"], list(enumerate(p)))
 
 
+#: Most points an activation-curve grid may hold (8 MB of doubles).
+_GRID_POINTS = 10 ** 6
+
+
 def _grid(args) -> np.ndarray:
     lo, hi, step = args.x_min, args.x_max, args.step
     if not (hi > lo and step > 0 and math.isfinite((hi - lo) / step)):
         raise ConfigError(f"bad grid: need --x-min < --x-max and --step > 0 with a finite "
                           f"(x_max - x_min) / step, got {lo}, {hi} and {step}")
     count = int(round((hi - lo) / step))
+    if count + 1 > _GRID_POINTS:
+        raise ConfigError(f"bad grid: --step {step} over [{lo}, {hi}] gives {count + 1} "
+                          f"points, more than {_GRID_POINTS}")
     return np.linspace(lo, hi, count + 1)
 
 

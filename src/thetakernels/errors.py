@@ -20,7 +20,6 @@ __all__ = [
     "DomainError",
     "EmptySequence",
     "InvalidCoefficients",
-    "NotSquareIntegrableWithinBudget",
     "NumericalInstability",
     "ZeroVector",
     "DimensionMismatch",
@@ -55,10 +54,6 @@ class EmptySequence(ThetaKernelError, ValueError):
 
 class InvalidCoefficients(ThetaKernelError, ValueError):
     """Series coefficients violate non-negativity or the unit mass budget."""
-
-
-class NotSquareIntegrableWithinBudget(ThetaKernelError, ValueError):
-    """An activation's Gaussian second moment exceeds the unit budget."""
 
 
 class NumericalInstability(ThetaKernelError, ArithmeticError):

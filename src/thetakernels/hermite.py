@@ -5,10 +5,10 @@ E[h_j(X) h_k(X)] = delta_jk for X ~ N(0, 1), built from the recursion
 
     h_0 = 1,  h_1 = x,  h_{k+1}(x) = x h_k(x) / sqrt(k+1) - sqrt(k / (k+1)) h_{k-1}(x).
 
-``hermite_design`` runs it forward into the table H[k, i] = h_k(x_i), which
-quadrature projections need.  ``hermite_series`` sums sum_k c_k h_k(x) by
-Clenshaw's backward recurrence (Math. Tables Aids Comput. 1955) on arrays of
-x's own shape, so evaluating an activation needs no table.
+``hermite_design`` runs it forward into the table H[k, i] = h_k(x_i).
+``hermite_series`` sums sum_k c_k h_k(x) by Clenshaw's backward recurrence
+(Math. Tables Aids Comput. 1955) on arrays of x's own shape, so evaluating an
+activation needs no table.
 
 Quadrature rules are expressed directly against the N(0, 1) weight so callers
 never touch the physicists' convention: ``gauss_hermite_rule(n)`` returns

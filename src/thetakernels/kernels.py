@@ -44,6 +44,7 @@ from .errors import (
     DomainError,
     EmptySequence,
     IndexOutOfRange,
+    NumericalInstability,
     RegimeViolation,
     UnknownSumConvergence,
     ZeroVector,
@@ -116,6 +117,11 @@ class CMixedKernel:
             raise EmptySequence("c-mixed kernel needs at least one c value")
         if not all(_finite(c) and c > 0.0 for c in self.c_sequence):
             raise RegimeViolation(f"c-mixed kernels need all c > 0, got {self.c_sequence!r}")
+        try:   # every c is positive, so each prefix sum is finite too
+            math.fsum(self.c_sequence)
+        except OverflowError:
+            raise RegimeViolation(f"c-mixed kernels need a finite sum of c, "
+                                  f"got {self.c_sequence!r}") from None
         object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "c_sequence", tuple(float(c) for c in self.c_sequence))
 
@@ -361,9 +367,16 @@ def spec_to_pgf(spec: KernelSpec) -> Pgf:
 
 
 def surface_area(m: int) -> float:
-    """Surface area of the unit sphere in R^m, 2 pi^(m/2) / Gamma(m/2)."""
+    """Surface area of the unit sphere in R^m, 2 pi^(m/2) / Gamma(m/2).
+
+    NumericalInstability from m = 344 on, where Gamma(m/2) overflows.
+    """
     m = _order(m, "dimension", 1, DimensionUnsupported)
-    return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
+    try:
+        return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
+    except OverflowError:
+        raise NumericalInstability(
+            f"Gamma(m/2) overflows at dimension m = {m}; surface areas need m <= 343") from None
 
 
 def multiplicity(m: int, k: int) -> int:
@@ -413,9 +426,9 @@ def eigensystem(spec: KernelSpec, m: int, k_max: int) -> Eigensystem:
     """
     k_max = _order(k_max, "k_max", 0)
     m = _order(m, "dimension m", 3, DimensionUnsupported)
+    surf = surface_area(m)
     mults = [_multiplicity(m, k) for k in range(k_max + 1)]
     p = series_coefficients(_kernel_evaluator(spec), k_max)
-    surf = surface_area(m)
     lambdas = [surf * float(pk) / mult for pk, mult in zip(p, mults)]
     return Eigensystem(dimension=m, lambdas=tuple(lambdas),
                        multiplicities=tuple(mults))

@@ -311,8 +311,10 @@ class SeriesPgf(_PgfBase):
         if total > 1.0 + 1e-12:
             raise InvalidCoefficients(f"series mass {total} exceeds 1")
         object.__setattr__(self, "coefficients", tuple(clamped.tolist()))
-        if not (math.isfinite(self.eps_tail) and self.eps_tail >= 0.0):
-            raise InvalidCoefficients(f"eps_tail must be >= 0, got {self.eps_tail}")
+        if not (_finite(self.eps_tail) and self.eps_tail >= 0.0):
+            raise InvalidCoefficients(
+                f"eps_tail must be a finite real >= 0, got {self.eps_tail!r}")
+        object.__setattr__(self, "eps_tail", float(self.eps_tail))
 
     @property
     def k_max(self) -> int:
@@ -338,16 +340,24 @@ class SeriesPgf(_PgfBase):
 
 @dataclass(frozen=True)
 class ComposedPgf(_PgfBase):
-    """Composition of PGFs, innermost factor first; nested ones are flattened."""
+    """Composition of PGFs, innermost factor first; nested ones are flattened.
+
+    After flattening every factor is a ThetaPgf or a SeriesPgf (else
+    DomainError).
+    """
 
     factors: tuple["Pgf", ...]
 
     def __post_init__(self) -> None:
         if len(self.factors) == 0:
             raise EmptySequence("composition needs at least one factor")
-        object.__setattr__(self, "factors", tuple(
-            g for f in self.factors
-            for g in (f.factors if isinstance(f, ComposedPgf) else (f,))))
+        factors = tuple(g for f in self.factors
+                        for g in (f.factors if isinstance(f, ComposedPgf) else (f,)))
+        for g in factors:
+            if not isinstance(g, (ThetaPgf, SeriesPgf)):
+                raise DomainError(f"composition factors must be ThetaPgf or SeriesPgf, "
+                                  f"got {g!r}; a pure kernel of f composes as (f,) * n")
+        object.__setattr__(self, "factors", factors)
 
     def eval_extended(self, z):
         out = z

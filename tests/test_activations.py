@@ -16,12 +16,7 @@ from thetakernels.activations import (
     bivariate_expectation,
     reference_activation,
 )
-from thetakernels.errors import (
-    DomainError,
-    InvalidCoefficients,
-    NotSquareIntegrableWithinBudget,
-    NumericalInstability,
-)
+from thetakernels.errors import DomainError, InvalidCoefficients, NumericalInstability
 from thetakernels.hermite import gauss_hermite_rule, half_gaussian_rule, hermite_design
 from thetakernels.pgf import SeriesPgf, make_theta_pgf, theta_coefficients
 
@@ -275,19 +270,6 @@ class TestActivationToPgf:
         p = theta_coefficients(make_theta_pgf(theta=-0.5, a=0.5, q=0.3), 300)
         recovered = activation_to_pgf(activation_from_coefficients(p), 300)
         assert np.allclose(recovered, p, rtol=1e-15, atol=0.0)
-
-    def test_plain_callable_projected_by_quadrature(self):
-        original = np.array([0.1, 0.3, 0.2, 0.05, 0.0, 0.15])
-        act = activation_from_coefficients(original)
-        recovered = activation_to_pgf(lambda x: act(x), 8)
-        assert np.max(np.abs(recovered[:6] - original)) < 1e-12
-        assert np.max(np.abs(recovered[6:])) < 1e-12
-
-    def test_unnormalized_callable_rejected(self):
-        # duck-typed callables skip the constructor check and hit the
-        # quadrature budget instead
-        with pytest.raises(NotSquareIntegrableWithinBudget):
-            activation_to_pgf(lambda x: 2.0 * np.asarray(x), 4)
 
     def test_k_max_validation(self):
         with pytest.raises(ValueError):

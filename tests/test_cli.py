@@ -300,6 +300,12 @@ class TestKernelCommands:
         assert app(["kernel-eigen", "--kind", "pure", "--theta", "1", "--a", "1",
                     "--c", "1", "--depth", "1", "--m", "2", "--k-max", "4"]) == 2
 
+    def test_eigen_dimension_beyond_gamma_range(self, capsys):
+        # Gamma(m/2) overflows from m = 344 on: a numerical failure naming m
+        assert app(["kernel-eigen", "--kind", "pure", "--theta", "1", "--a", "1",
+                    "--c", "1", "--depth", "1", "--m", "400", "--k-max", "3"]) == 3
+        assert "m = 400" in capsys.readouterr().err
+
 
 class TestMlpStudy:
     def test_table(self, tmp_path):
@@ -519,11 +525,16 @@ class TestInputErrors:
               "--out", "{d}/missing/x.csv"], "{d}/missing/x.csv"),
         ({}, ["activation-curve", "--name", "relu", "--x-min", "0", "--x-max", "1e300",
               "--step", "1e-300"], "--step"),
+        ({}, ["activation-curve", "--name", "relu", "--x-min", "0", "--x-max", "1e20",
+              "--step", "1"], "--step"),
+        ({}, ["kernel-eval", "--kind", "cmixed", "--theta", "0.5", "--c", "1e308,1e308",
+              "--rho", "0.5"], "sum of c"),
     ], ids=["points-missing", "points-empty", "points-header-only", "points-non-numeric",
             "config-missing", "config-not-json", "config-list", "factor-not-object",
             "model-kind", "curve-no-name", "grid-reversed", "eval-no-rho",
             "pure-limit-c-sum", "study-no-widths", "study-activation-reason",
-            "curve-name-flag", "out-unwritable", "grid-overflow"])
+            "curve-name-flag", "out-unwritable", "grid-overflow", "grid-too-many-points",
+            "cmixed-c-sum-overflow"])
     def test_exit_2_naming_the_source(self, tmp_path, capsys, files, argv, needle):
         for name, text in files.items():
             (tmp_path / name).write_text(text)

@@ -9,11 +9,13 @@ import pytest
 
 from thetakernels import gp
 from thetakernels.activations import (HermiteSeriesActivation, ReferenceActivation,
-                                      bivariate_expectation, reference_activation)
+                                      activation_to_pgf, bivariate_expectation,
+                                      reference_activation)
 from thetakernels.errors import (DomainError, InvalidCoefficients, NumericalInstability,
                                  RegimeViolation, ThetaKernelError)
 from thetakernels.hermite import hermite_series
-from thetakernels.kernels import CMixedKernel, PureKernel, kernel_limit
+from thetakernels.kernels import (CMixedKernel, MixedKernel, PureKernel, kernel_limit,
+                                  surface_area)
 from thetakernels.pgf import SeriesPgf, make_theta_pgf, pgf_iterate_closed
 
 F = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
@@ -52,6 +54,14 @@ def _with_nan_entry(name, call):
     (lambda: PureKernel(SeriesPgf((0.5, 0.5)), 2), RegimeViolation),
     (lambda: pgf_iterate_closed(SeriesPgf((0.5, 0.5)), 2), RegimeViolation),
     (lambda: bivariate_expectation(lambda x: x, 0.5), DomainError),
+    (lambda: activation_to_pgf(lambda x: x, 4), DomainError),
+    (lambda: surface_area(344), NumericalInstability),
+    (lambda: CMixedKernel(0.5, (1e308, 1e308)), RegimeViolation),
+    (lambda: MixedKernel((F, object())), DomainError),
+    (lambda: MixedKernel((F, PureKernel(F, 2))), DomainError),
+    (lambda: SeriesPgf((0.5,), eps_tail=True), InvalidCoefficients),
+    (lambda: SeriesPgf((0.5,), eps_tail="0.1"), InvalidCoefficients),
+    (lambda: SeriesPgf((0.5,), eps_tail=None), InvalidCoefficients),
     (lambda: gp.fit(K, X, [1.0, np.nan, 1.0]), DomainError),
     (lambda: gp.fit(K, X, [1.0, np.inf, 1.0]), DomainError),
     (lambda: gp.fit(K, X, Y, noise=np.inf), DomainError),
@@ -63,7 +73,9 @@ def _with_nan_entry(name, call):
 ], ids=["prelu-slope", "nan-slope", "bool-slope", "slope-square-overflows",
         "empty-series", "negative-hermite-coefficient", "nan-hermite-coefficient",
         "cmixed-bool-theta", "cmixed-bool-c", "pure-limit-c-sum", "pure-series-factor",
-        "iterate-series", "bivariate-callable", "gp-nan-target",
+        "iterate-series", "bivariate-callable", "to-pgf-callable", "surface-area-overflow",
+        "cmixed-c-sum-overflow", "composed-object-factor", "composed-pure-kernel-factor",
+        "eps-tail-bool", "eps-tail-str", "eps-tail-none", "gp-nan-target",
         "gp-inf-target", "gp-inf-noise", "gp-nan-noise", "gp-bool-noise", "gp-nan-gram",
         "gp-nan-cross-gram"])
 def test_typed_error(call, error):
