@@ -422,7 +422,9 @@ def eigensystem(spec: KernelSpec, m: int, k_max: int) -> Eigensystem:
     The composed kernel's coefficients p_k come from the contour-extraction
     oracle (not the per-factor formulas) applied to the values
     ``kernel_at_rho`` computes, so eigensystems stay available for series
-    and mixed specs with no closed form, and at every depth.
+    and mixed specs with no closed form, and at every depth.  The kernel's
+    coefficients are real, so the oracle evaluates it once, on the
+    N/2 + 1 nodes of the upper half of its circle.
     """
     k_max = _order(k_max, "k_max", 0)
     m = _order(m, "dimension m", 3, DimensionUnsupported)

@@ -33,7 +33,9 @@ The regime alone selects the closed form that evaluation, iteration and the
 series coefficients use (a binomial series, raised to the power -1/theta in
 the main branch by one power recurrence); the subcritical main regimes take
 an expm1/log1p form that stays accurate as theta -> 0.  An independent
-coefficient oracle integrates the evaluated PGF over a contour.
+coefficient oracle integrates the evaluated PGF over a contour: every PGF
+here has real coefficients, so it evaluates only the upper half of the
+circle, on reflected nodes, and reads the coefficients off a Hermitian FFT.
 """
 
 from __future__ import annotations
@@ -424,10 +426,11 @@ def _power_series(A: np.ndarray, alpha: float, g0: float) -> np.ndarray:
     rev = np.empty_like(A)
     rev[n - 1] = g0
     jA = np.arange(n) * A
+    alpha1, a0, dot = alpha + 1.0, float(A[0]), np.dot
     for k in range(1, n):
         tail = rev[n - k:]
-        rev[n - 1 - k] = ((alpha + 1.0) * np.dot(jA[1:k + 1], tail)
-                          - k * np.dot(A[1:k + 1], tail)) / (k * A[0])
+        rev[n - 1 - k] = (alpha1 * dot(jA[1:k + 1], tail)
+                          - k * dot(A[1:k + 1], tail)) / (k * a0)
     return rev[::-1]
 
 
@@ -471,33 +474,62 @@ def _extraction_radius(k_max: int) -> float:
     return min(0.95, max(0.5, math.exp(-6.0 / max(k_max, 1))))
 
 
+def _half_circle(radius: float, num_nodes: int) -> np.ndarray:
+    """The nodes z_j = radius * exp(2 pi i j / num_nodes), j = 0 .. num_nodes / 2.
+
+    Only the first quarter is computed; the rest is its reflection
+    z_{N/2 - j} = -conj(z_j), and z_0 = radius, z_{N/4} = i * radius and
+    z_{N/2} = -radius are exact, so the odd and even parts of a real series
+    cancel exactly in the transform.  num_nodes is a multiple of 4.
+    """
+    quarter = num_nodes // 4
+    nodes = np.empty(2 * quarter + 1, dtype=complex)
+    nodes[:quarter] = radius * np.exp((2j * np.pi / num_nodes) * np.arange(quarter))
+    nodes[quarter] = 1j * radius
+    nodes[quarter + 1:] = -nodes[quarter - 1::-1].conj()
+    return nodes
+
+
 def series_coefficients(f: Pgf | Callable, k_max: int) -> np.ndarray:
     """Extract series coefficients by discrete contour integration.
 
-    Evaluates f on a uniform grid of max(64, 8 * k_max) points on the circle
-    |z| = radius, with the radius adapted to k_max, and reads the
-    coefficients off the discrete Fourier transform.  This is the oracle
-    used to cross-check the closed-form coefficient formulas, so it
-    deliberately shares no code with them.
+    The trapezoidal rule on N = max(64, 8 * k_max) uniform nodes of the
+    circle |z| = radius, with the radius adapted to k_max.  f must have real
+    coefficients, so f(conj(z)) = conj(f(z)) and the lower half of the
+    circle adds nothing: f is evaluated once, on the N/2 + 1 nodes of the
+    upper half (the first quarter computed, the second its reflection
+    z -> -conj(z), with radius, i * radius and -radius exact), and the
+    coefficients are read off the Hermitian FFT of those values.  This is
+    the oracle used to cross-check the closed-form coefficient formulas, so
+    it deliberately shares no code with them.
 
     Args:
         f: anything with an ``eval_extended`` accepting complex arrays, or a
-            bare callable.
+            bare callable; its series must have real coefficients.
         k_max: highest coefficient index to return.
 
     Raises:
-        NumericalInstability: if an extracted coefficient is below -1e-8,
-            which signals that round-off, amplified by radius**(-k), swamps
-            the coefficients at this order.
+        NumericalInstability: if a value of f is not finite, or if an
+            extracted coefficient is below -1e-8, which signals that
+            round-off, amplified by radius**(-k), swamps the coefficients at
+            this order.
+        DomainError: if f(radius) or f(-radius) is not real, so f has no
+            real coefficients.
     """
     k_max = _order(k_max, "k_max", 0)
     radius = _extraction_radius(k_max)
     num_nodes = max(64, 8 * k_max)
     evaluate = getattr(f, "eval_extended", f)
-    nodes = radius * np.exp(2j * np.pi * np.arange(num_nodes) / num_nodes)
-    values = np.asarray(evaluate(nodes), dtype=complex)
-    transform = np.fft.fft(values)[:k_max + 1] / num_nodes
-    coeffs = transform.real / radius ** np.arange(k_max + 1)
+    values = np.asarray(evaluate(_half_circle(radius, num_nodes)), dtype=complex)
+    if not np.all(np.isfinite(values)):
+        raise NumericalInstability(
+            f"f is not finite on the contour |z| = {radius:.6g} at k_max = {k_max}")
+    if values[0].imag != 0.0 or values[-1].imag != 0.0:
+        raise DomainError(
+            f"f(+-{radius:.6g}) = {complex(values[0])}, {complex(values[-1])} is not "
+            "real: contour extraction needs a series with real coefficients")
+    transform = np.fft.hfft(values, num_nodes)[:k_max + 1] / num_nodes
+    coeffs = transform / radius ** np.arange(k_max + 1)
     if np.min(coeffs) < -1e-8:
         raise NumericalInstability(
             f"extracted coefficient {coeffs.min():.3e} is significantly negative: "

@@ -16,7 +16,8 @@ from thetakernels.errors import (DomainError, InvalidCoefficients, NumericalInst
 from thetakernels.hermite import hermite_series
 from thetakernels.kernels import (CMixedKernel, MixedKernel, PureKernel, kernel_limit,
                                   surface_area)
-from thetakernels.pgf import SeriesPgf, make_theta_pgf, pgf_iterate_closed
+from thetakernels.pgf import (SeriesPgf, make_theta_pgf, pgf_iterate_closed,
+                              series_coefficients)
 
 F = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
 K = PureKernel(F, 2)
@@ -62,6 +63,11 @@ def _with_nan_entry(name, call):
     (lambda: SeriesPgf((0.5,), eps_tail=True), InvalidCoefficients),
     (lambda: SeriesPgf((0.5,), eps_tail="0.1"), InvalidCoefficients),
     (lambda: SeriesPgf((0.5,), eps_tail=None), InvalidCoefficients),
+    (lambda: series_coefficients(
+        lambda z: np.where(abs(z.imag) < 1e-3, np.nan, 0.5 + 0.25 * z), 4),
+     NumericalInstability),
+    (lambda: series_coefficients(lambda z: np.full_like(z, np.inf), 4), NumericalInstability),
+    (lambda: series_coefficients(lambda z: 0.5 + 0.25j * z, 4), DomainError),
     (lambda: gp.fit(K, X, [1.0, np.nan, 1.0]), DomainError),
     (lambda: gp.fit(K, X, [1.0, np.inf, 1.0]), DomainError),
     (lambda: gp.fit(K, X, Y, noise=np.inf), DomainError),
@@ -75,7 +81,8 @@ def _with_nan_entry(name, call):
         "cmixed-bool-theta", "cmixed-bool-c", "pure-limit-c-sum", "pure-series-factor",
         "iterate-series", "bivariate-callable", "to-pgf-callable", "surface-area-overflow",
         "cmixed-c-sum-overflow", "composed-object-factor", "composed-pure-kernel-factor",
-        "eps-tail-bool", "eps-tail-str", "eps-tail-none", "gp-nan-target",
+        "eps-tail-bool", "eps-tail-str", "eps-tail-none", "oracle-nan-values",
+        "oracle-inf-values", "oracle-complex-coefficients", "gp-nan-target",
         "gp-inf-target", "gp-inf-noise", "gp-nan-noise", "gp-bool-noise", "gp-nan-gram",
         "gp-nan-cross-gram"])
 def test_typed_error(call, error):

@@ -452,6 +452,54 @@ class TestSeriesExtraction:
         with pytest.raises(ValueError):
             series_coefficients(f, -2)
 
+    @staticmethod
+    def _full_circle(f, k_max):
+        """The oracle on all N nodes of the circle, read off the complex FFT."""
+        radius = pgf._extraction_radius(k_max)
+        num_nodes = max(64, 8 * k_max)
+        evaluate = getattr(f, "eval_extended", f)
+        nodes = radius * np.exp(2j * np.pi * np.arange(num_nodes) / num_nodes)
+        values = np.asarray(evaluate(nodes), dtype=complex)
+        transform = np.fft.fft(values)[:k_max + 1] / num_nodes
+        coeffs = transform.real / radius ** np.arange(k_max + 1)
+        return np.maximum(coeffs, 0.0)
+
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_half_circle_matches_full_circle(self, case):
+        rng = np.random.default_rng(2400 + case)
+        for _ in range(3):
+            f = draw_case(case, rng)
+            for k_max in (24, 64, 160):
+                half = series_coefficients(f, k_max)
+                assert np.max(np.abs(half - self._full_circle(f, k_max))) <= 1e-12
+
+    @pytest.mark.parametrize("k_max", (0, 5, 40))
+    def test_one_call_on_reflected_half_circle(self, k_max):
+        calls = []
+
+        def record(z):
+            calls.append(z.copy())
+            return 0.5 + 0.25 * z
+
+        series_coefficients(record, k_max)
+        radius = pgf._extraction_radius(k_max)
+        num_nodes = max(64, 8 * k_max)
+        assert len(calls) == 1
+        (nodes,) = calls
+        assert nodes.shape == (num_nodes // 2 + 1,)
+        assert np.array_equal(-nodes[::-1].conj(), nodes)
+        assert nodes[0] == radius and nodes[-1] == -radius
+        assert nodes[num_nodes // 4] == 1j * radius
+        expected = radius * np.exp(2j * np.pi * np.arange(num_nodes // 2 + 1) / num_nodes)
+        assert np.max(np.abs(nodes - expected)) <= 1e-15
+
+    def test_odd_series_has_exactly_zero_even_orders(self):
+        for k_max in (3, 8, 40):
+            out = series_coefficients(SeriesPgf((0.0, 0.5, 0.0, 0.25)), k_max)
+            assert np.all(out[::2] == 0.0)
+            assert out[1] == pytest.approx(0.5, abs=1e-14)
+            assert out[3] == pytest.approx(0.25, abs=1e-14)
+
 
 class TestComposition:
     def test_compose_two(self):
