@@ -513,14 +513,19 @@ def series_coefficients(f: Pgf | Callable, k_max: int) -> np.ndarray:
             extracted coefficient is below -1e-8, which signals that
             round-off, amplified by radius**(-k), swamps the coefficients at
             this order.
-        DomainError: if f(radius) or f(-radius) is not real, so f has no
-            real coefficients.
+        DomainError: if f does not return one value per node, or if
+            f(radius) or f(-radius) is not real, so f has no real
+            coefficients.
     """
     k_max = _order(k_max, "k_max", 0)
     radius = _extraction_radius(k_max)
     num_nodes = max(64, 8 * k_max)
     evaluate = getattr(f, "eval_extended", f)
-    values = np.asarray(evaluate(_half_circle(radius, num_nodes)), dtype=complex)
+    nodes = _half_circle(radius, num_nodes)
+    values = np.asarray(evaluate(nodes), dtype=complex)
+    if values.shape != nodes.shape:     # hfft would pad or cut it silently
+        raise DomainError(f"f returned shape {values.shape} on {nodes.shape} contour "
+                          "nodes: it must evaluate elementwise")
     if not np.all(np.isfinite(values)):
         raise NumericalInstability(
             f"f is not finite on the contour |z| = {radius:.6g} at k_max = {k_max}")

@@ -68,6 +68,8 @@ def _with_nan_entry(name, call):
      NumericalInstability),
     (lambda: series_coefficients(lambda z: np.full_like(z, np.inf), 4), NumericalInstability),
     (lambda: series_coefficients(lambda z: 0.5 + 0.25j * z, 4), DomainError),
+    (lambda: series_coefficients(lambda z: 0.5, 4), DomainError),
+    (lambda: series_coefficients(lambda z: np.ones(3), 4), DomainError),
     (lambda: gp.fit(K, X, [1.0, np.nan, 1.0]), DomainError),
     (lambda: gp.fit(K, X, [1.0, np.inf, 1.0]), DomainError),
     (lambda: gp.fit(K, X, Y, noise=np.inf), DomainError),
@@ -82,7 +84,8 @@ def _with_nan_entry(name, call):
         "iterate-series", "bivariate-callable", "to-pgf-callable", "surface-area-overflow",
         "cmixed-c-sum-overflow", "composed-object-factor", "composed-pure-kernel-factor",
         "eps-tail-bool", "eps-tail-str", "eps-tail-none", "oracle-nan-values",
-        "oracle-inf-values", "oracle-complex-coefficients", "gp-nan-target",
+        "oracle-inf-values", "oracle-complex-coefficients", "oracle-scalar-values",
+        "oracle-short-values", "gp-nan-target",
         "gp-inf-target", "gp-inf-noise", "gp-nan-noise", "gp-bool-noise", "gp-nan-gram",
         "gp-nan-cross-gram"])
 def test_typed_error(call, error):
