@@ -224,12 +224,12 @@ def bivariate_expectation(act: Activation, s: float) -> float:
     phi(x) phi(s x + beta y), of degree 2 * k_max in x and k_max in y
     (NumericalInstability beyond k_max 369, where numpy's rule fails).  It
     shares no code with sum_k p_k s^k, which tests compare it against.
-    Any other callable raises DomainError.
+    Any other callable raises DomainError, as does an s not real in [-1, 1].
     """
     _check_activation(act)
+    if not (_finite(s) and -1.0 <= s <= 1.0):
+        raise DomainError(f"correlation must be a real number in [-1, 1], got {s!r}")
     s = float(s)
-    if not -1.0 <= s <= 1.0:
-        raise DomainError(f"correlation must lie in [-1, 1], got {s}")
     if isinstance(act, ReferenceActivation):
         return _dual(act, s)
     return _series_bivariate(act, s)

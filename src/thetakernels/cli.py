@@ -10,6 +10,7 @@ Conventions shared by every subcommand:
     exit 0  success, outputs written;
     exit 2  invalid input or unwritable output (one-line diagnostic on stderr);
     exit 3  numerical failure (instability, factorization, zero norms);
+    exit 2, 3 only from typed errors; any other exception is a bug (traceback);
     long flags only, full double-precision decimal output, CSV with header.
 
 A JSON experiment config can supply any parameter group via ``--config``.
@@ -452,9 +453,7 @@ def _cmd_gp_predict(args) -> None:
                          _MODEL_KEYS + ("jitter", "jitter_level"), _MODEL_KEYS,
                          "model file")
     spec = _kernel_from_json(record["kernel"], "model kernel record")
-    model = gp_fit(spec, np.asarray(record["inputs"], dtype=float),
-                   np.asarray(record["targets"], dtype=float),
-                   float(record["noise"]))
+    model = gp_fit(spec, record["inputs"], record["targets"], record["noise"])
     queries = _read_csv(args.query)
     result = gp_predict(model, queries)
     _write_table(args.out, ["mean", "variance"],
@@ -602,9 +601,6 @@ def app(argv: Sequence[str] | None = None) -> int:
     except ThetaKernelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ArithmeticError) else 2
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

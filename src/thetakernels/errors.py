@@ -4,7 +4,8 @@ Every error raised by this package derives from :class:`ThetaKernelError`, so
 callers can catch one base type.  Validation-style failures additionally
 derive from :class:`ValueError` (or :class:`IndexError`) and numerical
 failures from :class:`ArithmeticError`, keeping ``except ValueError`` style
-code working.
+code working.  Inputs are checked by three shared rules, which all refuse
+non-real values: ``_order`` for integers, ``_finite`` for scalars, ``_reals`` for arrays.
 """
 
 from __future__ import annotations
@@ -12,6 +13,11 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import reprlib
+
+import numpy as np
+
+_MAX = float(np.finfo(float).max)     # the default bounds of _reals: any finite float
 
 __all__ = [
     "ThetaKernelError",
@@ -113,3 +119,17 @@ def _finite(value) -> bool:
                 and math.isfinite(value))
     except OverflowError:   # a Python int beyond the float range
         return False
+
+
+def _reals(value, name: str, low: float = -_MAX, high: float = _MAX,
+           error: type = DomainError) -> np.ndarray:
+    """value, a scalar or array of reals in [low, high], as float64, converted
+    once; ``error`` if it is ragged, not real (bool, str, complex) or NaN."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:      # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or not ((arr >= low) & (arr <= high)).all():
+        where = "" if (low, high) == (-_MAX, _MAX) else f" in [{low:g}, {high:g}]"
+        raise error(f"{name} must be finite real numbers{where}, got {reprlib.repr(value)}")
+    return arr.astype(float, copy=False)

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import (DimensionMismatch, DomainError, FactorizationFailed,
-                     NumericalInstability, _finite)
+                     NumericalInstability, _finite, _reals)
 from .kernels import KernelSpec, _as_points, cross_gram, gram, kernel_at_rho
 
 __all__ = ["GpModel", "PredictResult", "JITTER_LADDER", "fit", "predict"]
@@ -70,18 +70,16 @@ def fit(spec: KernelSpec, X: Sequence[Sequence[float]], y: Sequence[float],
 
     Inputs are normalized onto the unit sphere.  The Gram factorization
     retries up the jitter ladder; FactorizationFailed carries the final
-    attempt's diagnostics.  A non-finite target or noise raises DomainError,
-    a non-finite Gram entry NumericalInstability.
+    attempt's diagnostics.  A non-finite or non-real input, target or noise
+    raises DomainError, a non-finite Gram entry NumericalInstability.
     """
     from scipy.linalg import LinAlgError, cho_factor, cho_solve   # deferred: import cost
     inputs = _as_points(X)
-    targets = np.array(y, dtype=float).ravel()    # a copy: later writes to y stay out
+    targets = _reals(y, "targets").flatten()    # a copy: later writes to y stay out
     if targets.shape[0] != inputs.shape[0] or targets.shape[0] == 0:
         raise DimensionMismatch(
             f"need one target per input, got {inputs.shape[0]} inputs "
             f"and {targets.shape[0]} targets")
-    if not np.isfinite(targets).all():
-        raise DomainError("targets must be finite")
     if not (_finite(noise) and noise >= 0.0):
         raise DomainError(f"noise variance must be a finite real >= 0, got {noise!r}")
     kmat = gram(spec, inputs)
@@ -118,17 +116,14 @@ def predict(model: GpModel, Xstar: Sequence[Sequence[float]]) -> PredictResult:
     """Posterior mean and latent variance at query points.
 
     Variances are clamped at zero from below; the clamp count is reported so
-    callers can tell rounding from structure.  A non-finite cross-Gram entry
-    raises NumericalInstability.
+    callers can tell rounding from structure.  Queries are checked as the
+    inputs of ``fit`` are; a non-finite cross-Gram entry raises
+    NumericalInstability.
     """
     from scipy.linalg import solve_triangular   # deferred: import cost
-    stars = np.asarray(Xstar, dtype=float)
+    stars = _reals(Xstar, "query points")
     if stars.size == 0:
         return PredictResult(np.empty(0), np.empty(0), 0)
-    if stars.ndim != 2 or stars.shape[1] != model.inputs.shape[1]:
-        raise DimensionMismatch(
-            f"query points must have shape (*, {model.inputs.shape[1]}), "
-            f"got {stars.shape}")
     kstar = cross_gram(model.spec, stars, model.inputs)
     _check_finite(kstar, "cross-Gram")
     means = kstar @ model.alpha

@@ -50,6 +50,7 @@ from .errors import (
     ZeroVector,
     _finite,
     _order,
+    _reals,
 )
 from .pgf import (
     ComposedPgf,
@@ -161,16 +162,13 @@ def _unit(v: np.ndarray) -> np.ndarray:
 def correlation(x: Sequence[float], z: Sequence[float]) -> float:
     """Inner product of unit-normalized vectors, clamped to [-1, 1].
 
-    Raises DomainError on a NaN or infinite entry, which the clamp would
-    otherwise turn into -1.
+    DomainError for a non-real, NaN or infinite entry (the clamp would turn NaN into -1).
     """
-    xv = np.asarray(x, dtype=float)
-    zv = np.asarray(z, dtype=float)
+    xv = _reals(x, "correlation vector x")
+    zv = _reals(z, "correlation vector z")
     if xv.shape != zv.shape or xv.ndim != 1:
         raise DimensionMismatch(
             f"correlation needs two vectors of equal length, got {xv.shape} and {zv.shape}")
-    if not (np.isfinite(xv).all() and np.isfinite(zv).all()):
-        raise DomainError(f"correlation needs finite vectors, got {xv} and {zv}")
     ux, uz = _unit(xv), _unit(zv)
     if np.array_equal(xv, zv):
         return 1.0
@@ -181,15 +179,6 @@ def correlation(x: Sequence[float], z: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 # Kernel values
 # ---------------------------------------------------------------------------
-
-def _as_rho_array(rho) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(rho, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if not (np.all(arr >= -1.0) and np.all(arr <= 1.0)):
-        raise DomainError(f"correlation must lie in [-1, 1], got {rho!r}")
-    return arr, scalar
-
 
 def _kernel_evaluator(spec: KernelSpec):
     """The kernel as a function of the correlation, without the range check.
@@ -212,15 +201,15 @@ _BLOCK = 2 ** 15
 
 
 def kernel_at_rho(spec: KernelSpec, rho):
-    """Kernel value as a function of the correlation (scalar or array);
-    DomainError for a correlation outside [-1, 1] or NaN."""
-    arr, scalar = _as_rho_array(rho)
+    """Kernel value as a function of the correlation (scalar or array); DomainError
+    for a non-spec or a correlation outside [-1, 1], NaN or not real."""
+    arr = _reals(rho, "correlation", -1.0, 1.0)
     evaluate = _kernel_evaluator(spec)
     flat = arr.reshape(-1)
     out = np.empty(flat.shape)
     for start in range(0, flat.size, _BLOCK):
         out[start:start + _BLOCK] = evaluate(flat[start:start + _BLOCK])
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def cmixed_pure_representation(theta: float, c_sequence: Sequence[float],
@@ -254,8 +243,9 @@ def kernel_limit(spec: KernelSpec, rho, c_sum: float | None = None):
     c-mixed: the closed form with c = c_sum, the sum of all c_k (else
     UnknownSumConvergence); c_sum = math.inf, a divergent sum, gives its
     c -> inf value 1 everywhere.  Other specs refuse a c_sum (DomainError).
+    A correlation outside [-1, 1], NaN or not real raises DomainError.
     """
-    arr, scalar = _as_rho_array(rho)
+    arr = _reals(rho, "correlation", -1.0, 1.0)
     if isinstance(spec, CMixedKernel):
         if c_sum is None:
             raise UnknownSumConvergence(
@@ -279,7 +269,7 @@ def kernel_limit(spec: KernelSpec, rho, c_sum: float | None = None):
             out = np.full_like(arr, f.q)
     else:
         raise RegimeViolation("infinite-depth limits exist for pure and c-mixed kernels only")
-    return float(out[0]) if scalar else out
+    return float(out) if arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +277,10 @@ def kernel_limit(spec: KernelSpec, rho, c_sum: float | None = None):
 # ---------------------------------------------------------------------------
 
 def _as_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
+    pts = _reals(points, "kernel inputs")
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise DimensionMismatch(
             f"points must form a non-empty 2-d array, got shape {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise DomainError("kernel inputs must be finite")
     return _unit(pts)
 
 
@@ -331,13 +319,15 @@ def gram(spec: KernelSpec, points) -> np.ndarray:
     Only the upper triangle is evaluated, tile by tile; each entry below the
     diagonal is a copy of its mirror, so symmetry is exact by construction.
     Beyond the n x n result it allocates about ``_BLOCK`` correlations.
+    DomainError for a non-spec or a non-finite or non-real coordinate.
     """
     unit = _as_points(points)
     return _kernel_matrix(spec, unit, unit, symmetric=True)
 
 
 def cross_gram(spec: KernelSpec, points_a, points_b) -> np.ndarray:
-    """Kernel matrix between two point sets (rows of a against rows of b)."""
+    """Kernel matrix between two point sets (rows of a against rows of b),
+    both checked as in ``gram``."""
     ua = _as_points(points_a)
     ub = _as_points(points_b)
     if ua.shape[1] != ub.shape[1]:
@@ -355,6 +345,7 @@ def spec_to_pgf(spec: KernelSpec) -> Pgf:
 
     Pure kernels iterate in closed form; c-mixed kernels collapse to the
     critical PGF with c = sum c_k; a mixed kernel already is its composition.
+    Anything else, a bare ThetaPgf included, raises DomainError.
     """
     if isinstance(spec, PureKernel):
         return pgf_iterate_closed(spec.f, spec.depth)
@@ -363,7 +354,7 @@ def spec_to_pgf(spec: KernelSpec) -> Pgf:
     if isinstance(spec, CMixedKernel):
         return make_theta_pgf(theta=spec.theta, a=1.0,
                               c=math.fsum(spec.c_sequence))
-    raise TypeError(f"not a kernel spec: {spec!r}")
+    raise DomainError(f"not a kernel spec: {spec!r}; wrap a PGF f as MixedKernel((f,))")
 
 
 def surface_area(m: int) -> float:

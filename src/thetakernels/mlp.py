@@ -61,13 +61,8 @@ from typing import Sequence
 import numpy as np
 
 from .activations import Activation, _check_activation, _dual
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    ZeroNormLayer,
-    ZeroVector,
-    _order,
-)
+from .errors import (DimensionMismatch, DomainError, ZeroNormLayer, ZeroVector, _finite,
+                     _order, _reals)
 from .kernels import _unit, correlation
 
 __all__ = [
@@ -157,19 +152,17 @@ def sample_mlp_output(config: MlpConfig, input: Sequence[float],
 
     ``weights`` overrides the random draw with explicit matrices (shape
     h_{k+1} x h_k each), which is how hand-traced examples pin the path.
+    A non-finite or non-real input or weight entry raises DomainError.
     """
-    x = np.asarray(input, dtype=float)
+    x = _reals(input, "MLP input")
     if x.shape != (config.widths[0],):
         raise DimensionMismatch(
             f"input must have shape ({config.widths[0]},), got {x.shape}")
-    if not np.isfinite(x).all():
-        raise DomainError(f"MLP input must be finite, got {x}")
     if not x.any():
         raise ZeroVector("MLP input must be nonzero")
     if weights is not None:
-        weights = [np.asarray(w, dtype=float) for w in weights]
-        shapes = [(config.widths[k + 1], config.widths[k])
-                  for k in range(len(config.widths) - 1)]
+        weights = [_reals(w, f"weight matrix {k}") for k, w in enumerate(weights)]
+        shapes = list(zip(config.widths[1:], config.widths[:-1]))
         if [w.shape for w in weights] != shapes:
             raise DimensionMismatch(
                 f"weight shapes {[w.shape for w in weights]} != required {shapes}")
@@ -217,7 +210,8 @@ def _pair_samples(config: MlpConfig, rho0: float, chunk: int,
 
 
 def worker_count() -> int:
-    """Thread cap: THETA_KERNELS_THREADS if set, else the usable CPU count.
+    """Thread cap: THETA_KERNELS_THREADS if set (DomainError unless an integer
+    >= 1), else the usable CPU count.
 
     Each 256-sample chunk of the sampler spends its time in Philox fills and
     ufuncs over (256, width) arrays, which release the GIL, so chunks on
@@ -227,9 +221,12 @@ def worker_count() -> int:
     raw = os.environ.get("THETA_KERNELS_THREADS", "").strip()
     if raw:
         try:
-            return max(1, int(raw))
+            count = int(raw)
         except ValueError:
-            raise DomainError(f"THETA_KERNELS_THREADS must be an integer, got {raw!r}")
+            count = 0
+        if count < 1:
+            raise DomainError(f"THETA_KERNELS_THREADS must be an integer >= 1, got {raw!r}")
+        return count
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -249,11 +246,11 @@ def empirical_kernel(config: MlpConfig, x: Sequence[float], z: Sequence[float],
     (seed, c, k), and samples are written into a fixed slot ordering, so the
     result is bitwise identical for any thread count.  A dead layer (all
     activations zero) raises ZeroNormLayer naming the first dead sample of
-    the lowest chunk that has one.
+    the lowest chunk that has one.  Non-finite or non-real x or z: DomainError.
     """
     num_samples = _order(num_samples, "num_samples", 100)
-    xv = np.asarray(x, dtype=float)
-    zv = np.asarray(z, dtype=float)
+    xv = _reals(x, "x")
+    zv = _reals(z, "z")
     if xv.shape != (config.widths[0],) or zv.shape != (config.widths[0],):
         raise DimensionMismatch(
             f"inputs must have shape ({config.widths[0]},), got {xv.shape}, {zv.shape}")
@@ -277,11 +274,11 @@ def reference_kernel_value(config: MlpConfig, rho0: float) -> float:
     dual(1), with dual(s) = E[phi(X) phi(Z)] the activation's exact dual
     (Daniely, Frostig and Singer, NIPS 2016), clipped to [-1, 1] against
     round-off (prelu(-0.5)'s dual(1) reads 1 + 2^-52).  An identically
-    zero activation raises ZeroNormLayer.
+    zero activation raises ZeroNormLayer, a rho0 not real in [-1, 1] DomainError.
     """
+    if not (_finite(rho0) and -1.0 <= rho0 <= 1.0):
+        raise DomainError(f"correlation must be a real number in [-1, 1], got {rho0!r}")
     rho = float(rho0)
-    if not -1.0 <= rho <= 1.0:
-        raise DomainError(f"correlation must lie in [-1, 1], got {rho0!r}")
     for layer, act in enumerate(config.activations):
         norm = _dual(act, 1.0)
         if norm == 0.0:
@@ -301,7 +298,7 @@ def convergence_study(base: MlpConfig, widths: Sequence[int],
     widths = [_order(w, "width", 1) for w in widths]
     if not widths or any(b <= a for a, b in zip(widths, widths[1:])):
         raise DomainError(f"widths must be strictly increasing, got {widths}")
-    rho0 = correlation(np.asarray(x, dtype=float), np.asarray(z, dtype=float))
+    rho0 = correlation(x, z)
     reference = reference_kernel_value(base, rho0)
     rows = []
     for w in widths:

@@ -56,6 +56,7 @@ from .errors import (
     RegimeViolation,
     _finite,
     _order,
+    _reals,
 )
 
 __all__ = [
@@ -203,10 +204,9 @@ class _PgfBase:
     """Shared evaluation of the three PGF forms through ``eval_extended``."""
 
     def eval(self, s):
-        """Evaluate at s in [0, 1] (scalar or array); result clipped to [0, 1]."""
-        arr = np.asarray(s, dtype=float)
-        if not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):
-            raise DomainError(f"PGF argument must lie in [0, 1], got {s!r}")
+        """Evaluate at s in [0, 1] (scalar or array); result clipped to [0, 1].
+        DomainError for NaN or a non-real s (bool, str, complex)."""
+        arr = _reals(s, "PGF argument", 0.0, 1.0)
         out = np.clip(self.eval_extended(arr), 0.0, 1.0)
         return float(out) if arr.ndim == 0 else out
 
@@ -293,17 +293,16 @@ class SeriesPgf(_PgfBase):
 
     ``eps_tail`` records the mass beyond the truncation: the represented
     function underestimates the true one by at most eps_tail on [0, 1].
+    Coefficients: finite reals, each >= -1e-12, of mass <= 1, else InvalidCoefficients.
     """
 
     coefficients: tuple[float, ...]
     eps_tail: float = 0.0
 
     def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coefficients, dtype=float)
+        coeffs = _reals(self.coefficients, "series coefficients", error=InvalidCoefficients)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise InvalidCoefficients("series needs a flat sequence with the constant term")
-        if not np.all(np.isfinite(coeffs)):
-            raise InvalidCoefficients("series coefficients must be finite")
         if np.any(coeffs < -1e-12):
             raise InvalidCoefficients(
                 f"negative series coefficient {coeffs.min()} below tolerance")

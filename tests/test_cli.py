@@ -430,6 +430,23 @@ class TestGpCommands:
         query.write_text("1.0,0.0\n")
         assert app(["gp-predict", "--model", str(model), "--query", str(query)]) == 2
 
+    # Each value reaches gp.fit as the file holds it and is refused there.
+    @pytest.mark.parametrize("field, value", [
+        ("targets", ["a"]),
+        ("noise", [0.0]),
+        ("inputs", [[1.0, 0.0], [1.0]]),
+    ], ids=["str-targets", "list-noise", "ragged-inputs"])
+    def test_bad_model_values(self, tmp_path, capsys, field, value):
+        record = {"kernel": {"kind": "pure", "depth": 1,
+                             "pgf": {"theta": 1.0, "a": 1.0, "c": 1.0}},
+                  "inputs": [[1.0, 0.0]], "targets": [0.5], "noise": 0.0}
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({**record, field: value}))
+        query = tmp_path / "query.csv"
+        query.write_text("1.0,0.0\n")
+        assert app(["gp-predict", "--model", str(model), "--query", str(query)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     @pytest.mark.parametrize("kernel, message", [
         ({"kind": "pure", "depth": 1, "pgf": {"a": 1.0, "c": 1.0}}, "'theta'"),
         ({"kind": "pure", "depth": 2.5, "pgf": {"theta": 1.0, "a": 1.0, "c": 1.0}},

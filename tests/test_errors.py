@@ -14,8 +14,10 @@ from thetakernels.activations import (HermiteSeriesActivation, ReferenceActivati
 from thetakernels.errors import (DomainError, InvalidCoefficients, NumericalInstability,
                                  RegimeViolation, ThetaKernelError)
 from thetakernels.hermite import hermite_series
-from thetakernels.kernels import (CMixedKernel, MixedKernel, PureKernel, kernel_limit,
-                                  surface_area)
+from thetakernels.kernels import (CMixedKernel, MixedKernel, PureKernel, correlation,
+                                  cross_gram, kernel_at_rho, kernel_limit, surface_area)
+from thetakernels.mlp import (MlpConfig, convergence_study, empirical_kernel,
+                              reference_kernel_value, sample_mlp_output)
 from thetakernels.pgf import (SeriesPgf, make_theta_pgf, pgf_iterate_closed,
                               series_coefficients)
 
@@ -23,6 +25,8 @@ F = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
 K = PureKernel(F, 2)
 X = np.eye(3)
 Y = np.ones(3)
+RELU = reference_activation("relu")
+NET = MlpConfig(widths=(2, 8, 1), activations=RELU, seed=0)
 
 
 def _with_nan_entry(name, call):
@@ -78,6 +82,29 @@ def _with_nan_entry(name, call):
     (_with_nan_entry("gram", lambda model: gp.fit(K, X, Y)), NumericalInstability),
     (_with_nan_entry("cross_gram", lambda model: gp.predict(model, X)),
      NumericalInstability),
+    (lambda: kernel_at_rho(K, "x"), DomainError),
+    (lambda: kernel_at_rho(K, 0.5 + 0j), DomainError),
+    (lambda: kernel_at_rho(K, np.array([0.5 + 0.9j])), DomainError),
+    (lambda: kernel_limit(K, "x"), DomainError),
+    (lambda: reference_kernel_value(NET, "x"), DomainError),
+    (lambda: reference_kernel_value(NET, [0.5]), DomainError),
+    (lambda: bivariate_expectation(RELU, "x"), DomainError),
+    (lambda: bivariate_expectation(RELU, [0.5]), DomainError),
+    (lambda: bivariate_expectation(RELU, np.array([0.5, 0.5])), DomainError),
+    (lambda: F.eval("x"), DomainError),
+    (lambda: F.eval(0.5 + 0j), DomainError),
+    (lambda: SeriesPgf((0.5, "a")), InvalidCoefficients),
+    (lambda: SeriesPgf((0.5, [0.1, 0.2])), InvalidCoefficients),
+    (lambda: sample_mlp_output(NET, ["a", 1.0]), DomainError),
+    (lambda: empirical_kernel(NET, ["a", 1.0], [1.0, 0.0], 100), DomainError),
+    (lambda: convergence_study(NET, [8], ["a", 1.0], [1.0, 0.0], 100), DomainError),
+    (lambda: gp.fit(K, X, ["a", "b", "c"]), DomainError),
+    (lambda: gp.fit(K, [["a", "b", "c"]] * 3, Y), DomainError),
+    (lambda: gp.fit(K, [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]], Y), DomainError),
+    (lambda: gp.predict(gp.fit(K, X, Y), [["a", "0", "0"]]), DomainError),
+    (lambda: gp.predict(gp.fit(K, X, Y), [[1.0, 0.0, 0.0], [1.0]]), DomainError),
+    (lambda: cross_gram(K, [["a", 0.0, 0.0]], X), DomainError),
+    (lambda: correlation("ab", "cd"), DomainError),
 ], ids=["prelu-slope", "nan-slope", "bool-slope", "slope-square-overflows",
         "empty-series", "negative-hermite-coefficient", "nan-hermite-coefficient",
         "cmixed-bool-theta", "cmixed-bool-c", "pure-limit-c-sum", "pure-series-factor",
@@ -87,7 +114,13 @@ def _with_nan_entry(name, call):
         "oracle-inf-values", "oracle-complex-coefficients", "oracle-scalar-values",
         "oracle-short-values", "gp-nan-target",
         "gp-inf-target", "gp-inf-noise", "gp-nan-noise", "gp-bool-noise", "gp-nan-gram",
-        "gp-nan-cross-gram"])
+        "gp-nan-cross-gram", "rho-str", "rho-complex", "rho-complex-array", "limit-rho-str",
+        "reference-rho-str", "reference-rho-list", "bivariate-str", "bivariate-list",
+        "bivariate-pair", "eval-str", "eval-complex", "series-str-entry",
+        "series-ragged-entry", "sample-str-input", "empirical-str-input",
+        "study-str-input", "gp-str-targets", "gp-str-inputs", "gp-ragged-inputs",
+        "predict-str-query", "predict-ragged-query", "cross-gram-str-point",
+        "correlation-str"])
 def test_typed_error(call, error):
     with pytest.raises(error) as info:
         call()

@@ -198,7 +198,7 @@ class TestClosedFormAgainstComposition:
         assert np.max(np.abs(kernel_at_rho(PureKernel(f, 1), rho) - exact)) < 1e-9
 
     def test_not_a_spec(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(DomainError):
             kernel_at_rho(object(), 0.5)
 
 

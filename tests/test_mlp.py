@@ -163,8 +163,10 @@ class TestWorkerCount:
         monkeypatch.setenv("THETA_KERNELS_THREADS", "3")
         assert worker_count() == 3
 
-    def test_env_invalid(self, monkeypatch):
-        monkeypatch.setenv("THETA_KERNELS_THREADS", "many")
+    # Values that start no threads: each is refused before any pool exists.
+    @pytest.mark.parametrize("raw", ["many", "0", "-3"])
+    def test_env_invalid(self, monkeypatch, raw):
+        monkeypatch.setenv("THETA_KERNELS_THREADS", raw)
         with pytest.raises(DomainError):
             worker_count()
 
