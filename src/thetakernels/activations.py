@@ -34,7 +34,8 @@ from typing import Sequence, Union, get_args
 
 import numpy as np
 
-from .errors import DomainError, NumericalInstability, _finite, _order
+from .errors import (DomainError, NumericalInstability, _MAX, _instance, _order,
+                     _real)
 from .hermite import gauss_hermite_rule, half_gaussian_hermite_moments, hermite_series
 from .pgf import DEFAULT_SERIES_K, SeriesPgf
 
@@ -49,6 +50,7 @@ __all__ = [
 ]
 
 _REFERENCE_SLOPES = {"relu": 0.0, "linear": 1.0}
+_ROOT_MAX = math.sqrt(_MAX)     # the largest float whose square is finite
 _SIGN_BIT = np.uint64(1 << 63)
 
 
@@ -64,8 +66,7 @@ class HermiteSeriesActivation:
     coefficients: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.pgf, SeriesPgf):
-            raise DomainError(f"a series activation is built from a SeriesPgf, got {self.pgf!r}")
+        _instance(self.pgf, SeriesPgf, "a SeriesPgf for a series activation")
         object.__setattr__(self, "coefficients", tuple(np.sqrt(self.pgf.coefficients).tolist()))
 
     @property
@@ -94,10 +95,8 @@ class ReferenceActivation:
     scale: float = field(init=False)
 
     def __post_init__(self) -> None:
-        slope = float(self.slope) if _finite(self.slope) else math.nan
-        if not math.isfinite(slope * slope):   # else scale is 0 and phi vanishes
-            raise DomainError(
-                f"slope must be finite with a finite square, got {self.slope!r}")
+        # A slope whose square overflows would make scale 0, and phi vanish.
+        slope = _real(self.slope, "slope with a finite square", -_ROOT_MAX, _ROOT_MAX)
         object.__setattr__(self, "slope", slope)
         # E[phi^2] = scale^2 * (1 + slope^2) / 2 over the standard Gaussian.
         object.__setattr__(self, "scale", math.sqrt(2.0 / (1.0 + slope * slope)))
@@ -125,9 +124,7 @@ Activation = Union[HermiteSeriesActivation, ReferenceActivation]
 
 def _check_activation(act) -> None:
     """DomainError unless act is an ``Activation`` form, the forms with an exact dual."""
-    if not isinstance(act, get_args(Activation)):
-        raise DomainError("activations must be HermiteSeriesActivation or "
-                          f"ReferenceActivation, got {act!r}")
+    _instance(act, get_args(Activation), "a HermiteSeriesActivation or ReferenceActivation")
 
 
 def activation_from_coefficients(p: Sequence[float]) -> HermiteSeriesActivation:
@@ -227,9 +224,7 @@ def bivariate_expectation(act: Activation, s: float) -> float:
     Any other callable raises DomainError, as does an s not real in [-1, 1].
     """
     _check_activation(act)
-    if not (_finite(s) and -1.0 <= s <= 1.0):
-        raise DomainError(f"correlation must be a real number in [-1, 1], got {s!r}")
-    s = float(s)
+    s = _real(s, "correlation in [-1, 1]", -1.0, 1.0)
     if isinstance(act, ReferenceActivation):
         return _dual(act, s)
     return _series_bivariate(act, s)

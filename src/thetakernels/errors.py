@@ -4,8 +4,10 @@ Every error raised by this package derives from :class:`ThetaKernelError`, so
 callers can catch one base type.  Validation-style failures additionally
 derive from :class:`ValueError` (or :class:`IndexError`) and numerical
 failures from :class:`ArithmeticError`, keeping ``except ValueError`` style
-code working.  Inputs are checked by three shared rules, which all refuse
-non-real values: ``_order`` for integers, ``_finite`` for scalars, ``_reals`` for arrays.
+code working.  Arguments are checked by five shared rules, each raising the
+error type its caller names: ``_order`` (integers), ``_real`` (real numbers),
+``_reals`` (arrays of reals), ``_instance`` (expected types) and ``_items``
+(non-empty sequences).
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import reprlib
 
 import numpy as np
 
-_MAX = float(np.finfo(float).max)     # the default bounds of _reals: any finite float
+_MAX = float(np.finfo(float).max)     # the default bounds of _real(s): any finite float
+
 
 __all__ = [
     "ThetaKernelError",
@@ -54,7 +57,7 @@ class DomainError(ThetaKernelError, ValueError):
     """Argument outside the domain of a PGF or bivariate expectation."""
 
 
-class EmptySequence(ThetaKernelError, ValueError):
+class EmptySequence(DomainError):
     """A sequence argument that must be non-empty was empty."""
 
 
@@ -98,27 +101,35 @@ class ConfigError(ThetaKernelError, ValueError):
     """An experiment configuration file failed schema validation."""
 
 
-def _order(value, name: str, minimum: int | None, error: type = DomainError) -> int:
-    """value as a Python int, >= minimum unless that is None; bools and
-    non-integers raise ``error``."""
+def _order(value, name: str, minimum: int | None, error: type = DomainError,
+           maximum: int | None = None) -> int:
+    """value as a Python int in [minimum, maximum], a bound of None being none;
+    bools and non-integers raise ``error``."""
     try:
         index = operator.index(value)
     except TypeError:
         index = None
     if (isinstance(value, bool) or index is None
-            or (minimum is not None and index < minimum)):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise error(f"{name} must be an integer{bound}, got {value!r}")
+            or (minimum is not None and index < minimum)
+            or (maximum is not None and index > maximum)):
+        bound = ("" if minimum is None else f" >= {minimum}" if maximum is None
+                 else f" in [{minimum}, {maximum}]")
+        raise error(f"{name} must be an integer{bound}, got {reprlib.repr(value)}")
     return index
 
 
-def _finite(value) -> bool:
-    """A finite real number, Python or numpy; bools are not numbers here."""
+def _real(value, name: str, low: float = -_MAX, high: float = _MAX,
+          error: type = DomainError) -> float:
+    """value, a Python or numpy real (not a bool) in [low, high], as a float;
+    else ``error``, "need a finite number {name}", so name states the bounds."""
     try:
-        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                and math.isfinite(value))
+        number = (float(value) if isinstance(value, numbers.Real)
+                  and not isinstance(value, bool) else math.nan)
     except OverflowError:   # a Python int beyond the float range
-        return False
+        number = math.nan
+    if not low <= number <= high:
+        raise error(f"need a finite number {name}, got {reprlib.repr(value)}")
+    return number
 
 
 def _reals(value, name: str, low: float = -_MAX, high: float = _MAX,
@@ -133,3 +144,21 @@ def _reals(value, name: str, low: float = -_MAX, high: float = _MAX,
         where = "" if (low, high) == (-_MAX, _MAX) else f" in [{low:g}, {high:g}]"
         raise error(f"{name} must be finite real numbers{where}, got {reprlib.repr(value)}")
     return arr.astype(float, copy=False)
+
+
+def _instance(value, types: type | tuple[type, ...], name: str, error: type = DomainError):
+    """value, if an instance of ``types``; else ``error``, "need {name}"."""
+    if not isinstance(value, types):
+        raise error(f"need {name}, got {reprlib.repr(value)}")
+    return value
+
+
+def _items(value, name: str, minimum: int = 1, error: type = DomainError) -> tuple:
+    """value, a list, tuple or 1-d array of at least minimum items, as a tuple;
+    EmptySequence if it is empty, else ``error`` if it is short or no sequence."""
+    if not (isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim == 1):
+        raise error(f"need {name} as a list, tuple or 1-d array, got {reprlib.repr(value)}")
+    if len(value) < minimum:
+        raise (error if len(value) else EmptySequence)(
+            f"need {name} with {minimum} or more items, got {reprlib.repr(value)}")
+    return tuple(value)

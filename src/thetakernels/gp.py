@@ -26,8 +26,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (DimensionMismatch, DomainError, FactorizationFailed,
-                     NumericalInstability, _finite, _reals)
+from .errors import (DimensionMismatch, FactorizationFailed, NumericalInstability, _instance,
+                     _real, _reals)
 from .kernels import KernelSpec, _as_points, cross_gram, gram, kernel_at_rho
 
 __all__ = ["GpModel", "PredictResult", "JITTER_LADDER", "fit", "predict"]
@@ -80,8 +80,7 @@ def fit(spec: KernelSpec, X: Sequence[Sequence[float]], y: Sequence[float],
         raise DimensionMismatch(
             f"need one target per input, got {inputs.shape[0]} inputs "
             f"and {targets.shape[0]} targets")
-    if not (_finite(noise) and noise >= 0.0):
-        raise DomainError(f"noise variance must be a finite real >= 0, got {noise!r}")
+    noise = _real(noise, "noise variance >= 0", 0.0)
     kmat = gram(spec, inputs)
     _check_finite(kmat, "Gram")
     n = kmat.shape[0]
@@ -103,7 +102,7 @@ def fit(spec: KernelSpec, X: Sequence[Sequence[float]], y: Sequence[float],
         for j in range(1, n):       # zero the stale lower triangle, row by row
             kmat[j, :j] = 0.0
         alpha = cho_solve((chol, True), targets, check_finite=False)
-        return GpModel(spec=spec, inputs=inputs, targets=targets, noise=float(noise),
+        return GpModel(spec=spec, inputs=inputs, targets=targets, noise=noise,
                        chol_lower=chol, alpha=alpha, jitter=jitter,
                        jitter_level=level)
     raise FactorizationFailed(
@@ -116,11 +115,12 @@ def predict(model: GpModel, Xstar: Sequence[Sequence[float]]) -> PredictResult:
     """Posterior mean and latent variance at query points.
 
     Variances are clamped at zero from below; the clamp count is reported so
-    callers can tell rounding from structure.  Queries are checked as the
-    inputs of ``fit`` are; a non-finite cross-Gram entry raises
-    NumericalInstability.
+    callers can tell rounding from structure.  The model must be a GpModel
+    and queries are checked as the inputs of ``fit`` are (DomainError); a
+    non-finite cross-Gram entry raises NumericalInstability.
     """
     from scipy.linalg import solve_triangular   # deferred: import cost
+    _instance(model, GpModel, "a GpModel")
     stars = _reals(Xstar, "query points")
     if stars.size == 0:
         return PredictResult(np.empty(0), np.empty(0), 0)

@@ -42,14 +42,15 @@ from .errors import (
     DimensionMismatch,
     DimensionUnsupported,
     DomainError,
-    EmptySequence,
     IndexOutOfRange,
     NumericalInstability,
     RegimeViolation,
     UnknownSumConvergence,
     ZeroVector,
-    _finite,
+    _instance,
+    _items,
     _order,
+    _real,
     _reals,
 )
 from .pgf import (
@@ -94,9 +95,8 @@ class PureKernel:
     depth: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.f, ThetaPgf):
-            raise RegimeViolation("a pure kernel iterates a theta-form PGF; compose "
-                                  "any other PGF f as MixedKernel((f,) * n)")
+        _instance(self.f, ThetaPgf, "a ThetaPgf for a pure kernel (compose any other "
+                  "PGF f as MixedKernel((f,) * n))", RegimeViolation)
         object.__setattr__(self, "depth", _order(self.depth, "depth", 1, RegimeViolation))
 
 
@@ -106,25 +106,24 @@ MixedKernel = ComposedPgf
 
 @dataclass(frozen=True)
 class CMixedKernel:
-    """Mixed kernel over the critical family indexed by c_1 .. c_n (floats)."""
+    """Mixed kernel over the critical family indexed by c_1 .. c_n (floats), with
+    theta in (0, 1] and a sequence of c > 0 of finite sum."""
 
     theta: float
     c_sequence: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not (_finite(self.theta) and 0.0 < self.theta <= 1.0):
-            raise RegimeViolation(f"c-mixed kernels need theta in (0, 1], got {self.theta!r}")
-        if len(self.c_sequence) == 0:
-            raise EmptySequence("c-mixed kernel needs at least one c value")
-        if not all(_finite(c) and c > 0.0 for c in self.c_sequence):
-            raise RegimeViolation(f"c-mixed kernels need all c > 0, got {self.c_sequence!r}")
+        theta = _real(self.theta, "c-mixed theta in (0, 1]", math.ulp(0.0), 1.0,
+                      RegimeViolation)
+        c_sequence = tuple(_real(c, "c-mixed c > 0", math.ulp(0.0), error=RegimeViolation)
+                           for c in _items(self.c_sequence, "c_sequence"))
         try:   # every c is positive, so each prefix sum is finite too
-            math.fsum(self.c_sequence)
+            math.fsum(c_sequence)
         except OverflowError:
             raise RegimeViolation(f"c-mixed kernels need a finite sum of c, "
                                   f"got {self.c_sequence!r}") from None
-        object.__setattr__(self, "theta", float(self.theta))
-        object.__setattr__(self, "c_sequence", tuple(float(c) for c in self.c_sequence))
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "c_sequence", c_sequence)
 
     @property
     def depth(self) -> int:
@@ -217,13 +216,10 @@ def cmixed_pure_representation(theta: float, c_sequence: Sequence[float],
     """The critical PGF g_k whose k-fold iterate equals the depth-k c-mixed kernel.
 
     g_k is the a = 1 theta PGF with c replaced by the running average
-    (c_1 + ... + c_k) / k.
+    (c_1 + ... + c_k) / k, for k in 1 .. len(c_sequence) (IndexOutOfRange).
     """
-    spec = CMixedKernel(theta, tuple(c_sequence))   # validates theta and c
-    k = _order(k, "k", 1, IndexOutOfRange)
-    if k > len(spec.c_sequence):
-        raise IndexOutOfRange(
-            f"k must lie in 1 .. {len(spec.c_sequence)}, got {k!r}")
+    spec = CMixedKernel(theta, c_sequence)
+    k = _order(k, "k", 1, IndexOutOfRange, spec.depth)
     c_bar = math.fsum(spec.c_sequence[:k]) / k
     return make_theta_pgf(theta=theta, a=1.0, c=c_bar)
 
@@ -252,11 +248,10 @@ def kernel_limit(spec: KernelSpec, rho, c_sum: float | None = None):
                 "c-mixed limit needs c_sum, the sum of all c_k (math.inf if it diverges)")
         if c_sum == math.inf:
             out = np.ones_like(arr)
-        elif _finite(c_sum) and c_sum >= math.fsum(spec.c_sequence) - 1e-12:
-            out = make_theta_pgf(theta=spec.theta, a=1.0, c=c_sum).eval_extended(arr)
         else:
-            raise RegimeViolation(
-                f"c_sum = {c_sum!r} is not a valid total for the given prefix")
+            total = _real(c_sum, "c_sum >= the sum of the c_k", math.fsum(spec.c_sequence) - 1e-12,
+                          error=RegimeViolation)
+            out = make_theta_pgf(theta=spec.theta, a=1.0, c=total).eval_extended(arr)
     elif c_sum is not None:
         raise DomainError(f"c_sum applies to c-mixed kernels only, got c_sum = {c_sum!r}")
     elif isinstance(spec, PureKernel):

@@ -56,13 +56,13 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, get_args
 
 import numpy as np
 
 from .activations import Activation, _check_activation, _dual
-from .errors import (DimensionMismatch, DomainError, ZeroNormLayer, ZeroVector, _finite,
-                     _order, _reals)
+from .errors import (DimensionMismatch, DomainError, ZeroNormLayer, ZeroVector, _instance,
+                     _items, _order, _real, _reals)
 from .kernels import _unit, correlation
 
 __all__ = [
@@ -81,24 +81,24 @@ _CHUNK = 256
 @dataclass(frozen=True)
 class MlpConfig:
     """Widths h_0 .. h_{n+1}, one activation per layer 1 .. n, and the stream
-    seed.  A single activation, not in a tuple, is stored as n copies."""
+    seed.  Widths and per-layer activations are sequences; a single
+    activation is stored as n copies."""
 
     widths: tuple[int, ...]
     activations: tuple[Activation, ...]
     seed: int
 
     def __post_init__(self) -> None:
-        if len(self.widths) < 3:
-            raise DomainError(
-                f"need widths h_0 .. h_{{n+1}} with n >= 1, got {self.widths}")
         object.__setattr__(self, "widths", tuple(
-            _order(h, f"width h_{k}", 1) for k, h in enumerate(self.widths)))
+            _order(h, f"width h_{k}", 1)
+            for k, h in enumerate(_items(self.widths, "widths h_0 .. h_{n+1}", 3))))
+        n = self.num_layers
         acts = self.activations
-        if not isinstance(acts, tuple):
-            acts = (acts,) * self.num_layers
-        elif len(acts) != self.num_layers:
-            raise DomainError(
-                f"mixed config needs {self.num_layers} activations, got {len(acts)}")
+        if isinstance(acts, get_args(Activation)):
+            acts = (acts,) * n
+        else:
+            acts = _items(acts, "activations (one Activation, or one per layer)")
+            _order(len(acts), "number of activations, one per layer,", n, maximum=n)
         for act in acts:   # reference_kernel_value needs each layer's exact dual
             _check_activation(act)
         object.__setattr__(self, "activations", acts)
@@ -152,8 +152,10 @@ def sample_mlp_output(config: MlpConfig, input: Sequence[float],
 
     ``weights`` overrides the random draw with explicit matrices (shape
     h_{k+1} x h_k each), which is how hand-traced examples pin the path.
-    A non-finite or non-real input or weight entry raises DomainError.
+    A config that is not an MlpConfig, or a non-finite or non-real input
+    or weight entry, raises DomainError.
     """
+    _instance(config, MlpConfig, "an MlpConfig")
     x = _reals(input, "MLP input")
     if x.shape != (config.widths[0],):
         raise DimensionMismatch(
@@ -246,8 +248,10 @@ def empirical_kernel(config: MlpConfig, x: Sequence[float], z: Sequence[float],
     (seed, c, k), and samples are written into a fixed slot ordering, so the
     result is bitwise identical for any thread count.  A dead layer (all
     activations zero) raises ZeroNormLayer naming the first dead sample of
-    the lowest chunk that has one.  Non-finite or non-real x or z: DomainError.
+    the lowest chunk that has one.  DomainError for a config that is not an
+    MlpConfig or non-finite or non-real x or z.
     """
+    _instance(config, MlpConfig, "an MlpConfig")
     num_samples = _order(num_samples, "num_samples", 100)
     xv = _reals(x, "x")
     zv = _reals(z, "z")
@@ -276,9 +280,7 @@ def reference_kernel_value(config: MlpConfig, rho0: float) -> float:
     round-off (prelu(-0.5)'s dual(1) reads 1 + 2^-52).  An identically
     zero activation raises ZeroNormLayer, a rho0 not real in [-1, 1] DomainError.
     """
-    if not (_finite(rho0) and -1.0 <= rho0 <= 1.0):
-        raise DomainError(f"correlation must be a real number in [-1, 1], got {rho0!r}")
-    rho = float(rho0)
+    rho = _real(rho0, "correlation in [-1, 1]", -1.0, 1.0)
     for layer, act in enumerate(config.activations):
         norm = _dual(act, 1.0)
         if norm == 0.0:
@@ -293,10 +295,12 @@ def convergence_study(base: MlpConfig, widths: Sequence[int],
     """Empirical-vs-limit comparison across hidden widths.
 
     Each width w replaces every hidden width h_1 .. h_n of ``base``; input
-    and output widths stay.  Rows are ordered by width.
+    and output widths stay.  Rows are ordered by width.  DomainError unless
+    base is an MlpConfig and widths a non-empty, increasing sequence.
     """
-    widths = [_order(w, "width", 1) for w in widths]
-    if not widths or any(b <= a for a, b in zip(widths, widths[1:])):
+    _instance(base, MlpConfig, "an MlpConfig")
+    widths = [_order(w, "width", 1) for w in _items(widths, "widths")]
+    if any(b <= a for a, b in zip(widths, widths[1:])):
         raise DomainError(f"widths must be strictly increasing, got {widths}")
     rho0 = correlation(x, z)
     reference = reference_kernel_value(base, rho0)

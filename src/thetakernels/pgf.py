@@ -50,12 +50,13 @@ import numpy as np
 from .errors import (
     DerivedCMismatch,
     DomainError,
-    EmptySequence,
     InvalidCoefficients,
     NumericalInstability,
     RegimeViolation,
-    _finite,
+    _instance,
+    _items,
     _order,
+    _real,
     _reals,
 )
 
@@ -114,7 +115,7 @@ def _infer_regime(theta: float, a: float, r: float) -> Regime:
     what the regime asks of c and q.
     """
     for name, value in (("theta", theta), ("a", a), ("r", r)):
-        _check(_finite(value), f"{name} must be a finite number, got {value!r}")
+        _real(value, name, error=RegimeViolation)
     _check(not 0.0 < abs(theta) < np.finfo(float).tiny, f"theta = {theta!r} is subnormal")
     sub = 0.0 < a < 1.0
     if theta == -1.0 and sub and r == 1.0:
@@ -127,13 +128,6 @@ def _infer_regime(theta: float, a: float, r: float) -> Regime:
                 return Regime.ZERO_1 if r == 1.0 else Regime.ZERO_R
             return Regime.MAIN_SUB_1 if r == 1.0 else Regime.MAIN_SUB_R
     raise RegimeViolation(f"no admissible regime for (theta={theta}, a={a}, r={r})")
-
-
-def _check_q(regime: Regime, q) -> None:
-    """q in [0, 1], and q < 1 in the r = 1 regimes MAIN_SUB_1 and ZERO_1."""
-    below_one = regime in (Regime.MAIN_SUB_1, Regime.ZERO_1)
-    _check(_finite(q) and 0.0 <= q and (q < 1.0 if below_one else q <= 1.0),
-           f"{regime.name} needs q in [0, 1{')' if below_one else ']'}, got {q!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +232,9 @@ class ThetaPgf(_PgfBase):
     def __post_init__(self) -> None:
         theta, a, c, q, r = self.theta, self.a, self.c, self.q, self.r
         regime = _infer_regime(theta, a, r)
-        for name, value in (("c", c), ("q", q)):
-            _check(value is None or _finite(value),
-                   f"{name} must be None or a finite number, got {value!r}")
         theta, a, r = float(theta), float(a), float(r)
-        c = None if c is None else float(c)
-        q = None if q is None else float(q)
+        c = None if c is None else _real(c, "c", error=RegimeViolation)
+        q = None if q is None else _real(q, "q", error=RegimeViolation)
         if regime.is_sub() and q is None:
             _check(c is not None, "subcritical main regimes need q or c")
             # Invert c = (1 - a) * (r - q)**(-theta) for q.
@@ -259,8 +250,10 @@ class ThetaPgf(_PgfBase):
         if regime is Regime.MAIN_SUPER:
             _check(c is not None and c > 0.0, f"MAIN_SUPER needs c > 0, got {c}")
             _check(q is None, "MAIN_SUPER has no q parameter")
-        else:
-            _check_q(regime, q)
+        else:   # q < 1 in the r = 1 regimes MAIN_SUB_1 and ZERO_1
+            below_one = regime in (Regime.MAIN_SUB_1, Regime.ZERO_1)
+            _real(q, f"q in [0, 1{')' if below_one else ']'} for {regime.name}", 0.0,
+                  math.nextafter(1.0, 0.0) if below_one else 1.0, RegimeViolation)
             _check(c is None or regime.is_sub(), f"{regime.name} has no c parameter")
         if regime.is_sub():
             expected = derived_c(theta, a, q, r)
@@ -312,10 +305,8 @@ class SeriesPgf(_PgfBase):
         if total > 1.0 + 1e-12:
             raise InvalidCoefficients(f"series mass {total} exceeds 1")
         object.__setattr__(self, "coefficients", tuple(clamped.tolist()))
-        if not (_finite(self.eps_tail) and self.eps_tail >= 0.0):
-            raise InvalidCoefficients(
-                f"eps_tail must be a finite real >= 0, got {self.eps_tail!r}")
-        object.__setattr__(self, "eps_tail", float(self.eps_tail))
+        object.__setattr__(self, "eps_tail",
+                           _real(self.eps_tail, "eps_tail >= 0", 0.0, error=InvalidCoefficients))
 
     @property
     def k_max(self) -> int:
@@ -350,14 +341,11 @@ class ComposedPgf(_PgfBase):
     factors: tuple["Pgf", ...]
 
     def __post_init__(self) -> None:
-        if len(self.factors) == 0:
-            raise EmptySequence("composition needs at least one factor")
-        factors = tuple(g for f in self.factors
+        factors = tuple(g for f in _items(self.factors, "composition factors")
                         for g in (f.factors if isinstance(f, ComposedPgf) else (f,)))
         for g in factors:
-            if not isinstance(g, (ThetaPgf, SeriesPgf)):
-                raise DomainError(f"composition factors must be ThetaPgf or SeriesPgf, "
-                                  f"got {g!r}; a pure kernel of f composes as (f,) * n")
+            _instance(g, (ThetaPgf, SeriesPgf), "a ThetaPgf or SeriesPgf as composition "
+                      "factor (a pure kernel of f composes as (f,) * n)")
         object.__setattr__(self, "factors", factors)
 
     def eval_extended(self, z):
@@ -381,8 +369,7 @@ def pgf_iterate_closed(f: ThetaPgf, n: int) -> ThetaPgf:
     the float range (a_n underflowing to 0 included), before construction;
     the kernel operations still evaluate such depths.
     """
-    if not isinstance(f, ThetaPgf):
-        raise RegimeViolation("closed-form iteration needs a theta-form PGF")
+    _instance(f, ThetaPgf, "a ThetaPgf for closed-form iteration", RegimeViolation)
     n = _order(n, "iteration depth", 1)
     if n == 1:
         return f
@@ -441,8 +428,10 @@ def theta_coefficients(f: ThetaPgf, k_max: int) -> np.ndarray:
     form g = A**(-1/theta) with A = a * r**(-theta) * (1 - s/r)**(-theta) + c,
     expanded by one power recurrence, which stays finite and accurate at
     every order (subcritical seeds g_0 come from ``_pinned_power``).  Tiny
-    negative rounding residues are clamped to zero.
+    negative rounding residues are clamped to zero.  RegimeViolation for a
+    PGF not in theta form.
     """
+    _instance(f, ThetaPgf, "a ThetaPgf for theta coefficients", RegimeViolation)
     k_max = _order(k_max, "k_max", 0)
     if f.regime is Regime.MINUS_ONE:        # f = a * s + (1 - a) * q
         return np.array([(1.0 - f.a) * f.q, f.a] + [0.0] * (k_max - 1))[:k_max + 1]
@@ -543,7 +532,8 @@ def series_coefficients(f: Pgf | Callable, k_max: int) -> np.ndarray:
 
 
 def theta_pgf_to_series(f: ThetaPgf, k_max: int = DEFAULT_SERIES_K) -> SeriesPgf:
-    """Truncate a theta PGF to a SeriesPgf with an honest tail bound."""
+    """Truncate a theta PGF to a SeriesPgf with an honest tail bound; errors
+    as in ``theta_coefficients``."""
     coeffs = theta_coefficients(f, k_max)
     eps_tail = max(0.0, f.mass() - float(np.sum(coeffs)))
     return SeriesPgf(coefficients=tuple(coeffs), eps_tail=eps_tail)
