@@ -34,7 +34,7 @@ from typing import Sequence, Union, get_args
 
 import numpy as np
 
-from .errors import (DomainError, NumericalInstability, _MAX, _instance, _order,
+from .errors import (DomainError, NumericalInstability, _MAX, _MAX_ORDER, _instance, _order,
                      _real)
 from .hermite import gauss_hermite_rule, half_gaussian_hermite_moments, hermite_series
 from .pgf import DEFAULT_SERIES_K, SeriesPgf
@@ -164,10 +164,11 @@ def activation_to_pgf(act: Activation, k_max: int = DEFAULT_SERIES_K) -> np.ndar
     k_max: exact by orthonormality at every order.  Reference forms use the
     closed half-Gaussian moment recursion: the kink at zero caps full-line
     quadrature at O(n^{-3/2}) accuracy, far short of the 1e-8 oracle
-    tolerance.  Any other callable raises DomainError.
+    tolerance.  Any other callable raises DomainError, as does a k_max
+    outside [0, 2**16].
     """
     _check_activation(act)
-    k_max = _order(k_max, "k_max", 0)
+    k_max = _order(k_max, "k_max", 0, maximum=_MAX_ORDER)
     if isinstance(act, HermiteSeriesActivation):
         p = np.zeros(k_max + 1)
         kept = act.pgf.coefficients[:k_max + 1]

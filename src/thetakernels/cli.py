@@ -266,7 +266,8 @@ def _build_activation(args) -> Activation:
 # ---------------------------------------------------------------------------
 
 def _read_csv(path: str) -> np.ndarray:
-    """Numeric CSV rows; a single leading non-numeric row is taken as header."""
+    """Numeric CSV rows of one length; a single leading non-numeric row is
+    taken as header."""
     try:
         with open(path, newline="") as handle:
             rows = [row for row in csv.reader(handle) if row]
@@ -281,10 +282,13 @@ def _read_csv(path: str) -> np.ndarray:
     if not rows:
         raise ConfigError(f"{path} has a header but no data rows")
     try:
-        data = np.array([[float(cell) for cell in row] for row in rows])
+        values = [[float(cell) for cell in row] for row in rows]
     except ValueError as exc:
         raise ConfigError(f"non-numeric data in {path}: {exc}")
-    return data
+    lengths = sorted({len(row) for row in values})
+    if len(lengths) > 1:
+        raise ConfigError(f"ragged data in {path}: rows have {lengths} columns")
+    return np.array(values)
 
 
 def _write(path: str | None, emit) -> None:

@@ -7,7 +7,8 @@ failures from :class:`ArithmeticError`, keeping ``except ValueError`` style
 code working.  Arguments are checked by five shared rules, each raising the
 error type its caller names: ``_order`` (integers), ``_real`` (real numbers),
 ``_reals`` (arrays of reals), ``_instance`` (expected types) and ``_items``
-(non-empty sequences).
+(non-empty sequences).  Counts have ceilings far above any use, the ``_MAX_``
+constants, so no call asks for unbounded work.
 """
 
 from __future__ import annotations
@@ -20,6 +21,12 @@ import reprlib
 import numpy as np
 
 _MAX = float(np.finfo(float).max)     # the default bounds of _real(s): any finite float
+
+#: Ceilings of ``_order``, one per kind of count.
+_MAX_DEPTH = 2 ** 53 - 1    # depths and iteration counts, exact as floats
+_MAX_ORDER = 2 ** 16        # series orders k_max and harmonic degrees
+_MAX_DIMENSION = 2 ** 16    # sphere dimensions m
+_MAX_SAMPLES = 10 ** 8      # Monte Carlo samples, one float each: 800 MB at most
 
 
 __all__ = [

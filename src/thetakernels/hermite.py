@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidCoefficients, NumericalInstability, _order
+from .errors import InvalidCoefficients, NumericalInstability, _MAX_ORDER, _order
 
 __all__ = [
     "hermite_design",
@@ -43,8 +43,8 @@ _HALF_RANGE_NODES = 240
 
 
 def hermite_design(k_max: int, x) -> np.ndarray:
-    """Matrix H[k, i] = h_k(x_i) for k = 0 .. k_max, one recursion pass."""
-    k_max = _order(k_max, "k_max", 0)
+    """Matrix H[k, i] = h_k(x_i) for k = 0 .. k_max <= 2**16, one recursion pass."""
+    k_max = _order(k_max, "k_max", 0, maximum=_MAX_ORDER)
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((k_max + 1, arr.size))
     out[0] = 1.0

@@ -47,6 +47,9 @@ from .errors import (
     RegimeViolation,
     UnknownSumConvergence,
     ZeroVector,
+    _MAX_DEPTH,
+    _MAX_DIMENSION,
+    _MAX_ORDER,
     _instance,
     _items,
     _order,
@@ -89,7 +92,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PureKernel:
-    """n-fold self-composition of a theta PGF; RegimeViolation for any other f."""
+    """n-fold self-composition of a theta PGF, 1 <= depth < 2**53;
+    RegimeViolation for any other f or depth."""
 
     f: ThetaPgf
     depth: int
@@ -97,7 +101,8 @@ class PureKernel:
     def __post_init__(self) -> None:
         _instance(self.f, ThetaPgf, "a ThetaPgf for a pure kernel (compose any other "
                   "PGF f as MixedKernel((f,) * n))", RegimeViolation)
-        object.__setattr__(self, "depth", _order(self.depth, "depth", 1, RegimeViolation))
+        object.__setattr__(self, "depth", _order(self.depth, "depth", 1, RegimeViolation,
+                                                 _MAX_DEPTH))
 
 
 #: A mixed kernel is the composition of its factors, innermost first.
@@ -355,9 +360,10 @@ def spec_to_pgf(spec: KernelSpec) -> Pgf:
 def surface_area(m: int) -> float:
     """Surface area of the unit sphere in R^m, 2 pi^(m/2) / Gamma(m/2).
 
-    NumericalInstability from m = 344 on, where Gamma(m/2) overflows.
+    NumericalInstability from m = 344 on, where Gamma(m/2) overflows;
+    DimensionUnsupported unless 1 <= m <= 2**16.
     """
-    m = _order(m, "dimension", 1, DimensionUnsupported)
+    m = _order(m, "dimension", 1, DimensionUnsupported, _MAX_DIMENSION)
     try:
         return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
     except OverflowError:
@@ -370,10 +376,11 @@ def multiplicity(m: int, k: int) -> int:
 
     ((2k + m - 2) / k) * binom(k + m - 3, k - 1) for k >= 1, and 1 for k = 0
     (the constant harmonic; the printed formula has k in a denominator).
-    Needs m >= 3; the binomial degenerates at m = 2, not supported.
+    Needs 3 <= m <= 2**16 (DimensionUnsupported; the binomial degenerates at
+    m = 2) and 0 <= k <= 2**16 (DomainError).
     """
-    return _multiplicity(_order(m, "dimension m", 3, DimensionUnsupported),
-                         _order(k, "degree", 0))
+    return _multiplicity(_order(m, "dimension m", 3, DimensionUnsupported, _MAX_DIMENSION),
+                         _order(k, "degree", 0, maximum=_MAX_ORDER))
 
 
 def _multiplicity(m: int, k: int) -> int:
@@ -410,10 +417,11 @@ def eigensystem(spec: KernelSpec, m: int, k_max: int) -> Eigensystem:
     ``kernel_at_rho`` computes, so eigensystems stay available for series
     and mixed specs with no closed form, and at every depth.  The kernel's
     coefficients are real, so the oracle evaluates it once, on the
-    N/2 + 1 nodes of the upper half of its circle.
+    N/2 + 1 nodes of the upper half of its circle.  m and k_max are checked
+    as in ``multiplicity``.
     """
-    k_max = _order(k_max, "k_max", 0)
-    m = _order(m, "dimension m", 3, DimensionUnsupported)
+    k_max = _order(k_max, "k_max", 0, maximum=_MAX_ORDER)
+    m = _order(m, "dimension m", 3, DimensionUnsupported, _MAX_DIMENSION)
     surf = surface_area(m)
     mults = [_multiplicity(m, k) for k in range(k_max + 1)]
     p = series_coefficients(_kernel_evaluator(spec), k_max)

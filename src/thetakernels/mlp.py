@@ -61,8 +61,8 @@ from typing import Sequence, get_args
 import numpy as np
 
 from .activations import Activation, _check_activation, _dual
-from .errors import (DimensionMismatch, DomainError, ZeroNormLayer, ZeroVector, _instance,
-                     _items, _order, _real, _reals)
+from .errors import (DimensionMismatch, DomainError, ZeroNormLayer, ZeroVector, _MAX_SAMPLES,
+                     _instance, _items, _order, _real, _reals)
 from .kernels import _unit, correlation
 
 __all__ = [
@@ -152,10 +152,12 @@ def sample_mlp_output(config: MlpConfig, input: Sequence[float],
 
     ``weights`` overrides the random draw with explicit matrices (shape
     h_{k+1} x h_k each), which is how hand-traced examples pin the path.
-    A config that is not an MlpConfig, or a non-finite or non-real input
-    or weight entry, raises DomainError.
+    A config that is not an MlpConfig, a seed_offset that is not an integer,
+    weights that are not a sequence, or a non-finite or non-real input or
+    weight entry raises DomainError.
     """
     _instance(config, MlpConfig, "an MlpConfig")
+    seed_offset = _order(seed_offset, "seed_offset", None)
     x = _reals(input, "MLP input")
     if x.shape != (config.widths[0],):
         raise DimensionMismatch(
@@ -163,7 +165,8 @@ def sample_mlp_output(config: MlpConfig, input: Sequence[float],
     if not x.any():
         raise ZeroVector("MLP input must be nonzero")
     if weights is not None:
-        weights = [_reals(w, f"weight matrix {k}") for k, w in enumerate(weights)]
+        weights = [_reals(w, f"weight matrix {k}")
+                   for k, w in enumerate(_items(weights, "weights"))]
         shapes = list(zip(config.widths[1:], config.widths[:-1]))
         if [w.shape for w in weights] != shapes:
             raise DimensionMismatch(
@@ -249,10 +252,11 @@ def empirical_kernel(config: MlpConfig, x: Sequence[float], z: Sequence[float],
     result is bitwise identical for any thread count.  A dead layer (all
     activations zero) raises ZeroNormLayer naming the first dead sample of
     the lowest chunk that has one.  DomainError for a config that is not an
-    MlpConfig or non-finite or non-real x or z.
+    MlpConfig, non-finite or non-real x or z, or num_samples outside
+    [100, 10**8].
     """
     _instance(config, MlpConfig, "an MlpConfig")
-    num_samples = _order(num_samples, "num_samples", 100)
+    num_samples = _order(num_samples, "num_samples", 100, maximum=_MAX_SAMPLES)
     xv = _reals(x, "x")
     zv = _reals(z, "z")
     if xv.shape != (config.widths[0],) or zv.shape != (config.widths[0],):

@@ -41,9 +41,10 @@ circle, on reflected nodes, and reads the coefficients off a Hermitian FFT.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -53,6 +54,8 @@ from .errors import (
     InvalidCoefficients,
     NumericalInstability,
     RegimeViolation,
+    _MAX_DEPTH,
+    _MAX_ORDER,
     _instance,
     _items,
     _order,
@@ -367,10 +370,11 @@ def pgf_iterate_closed(f: ThetaPgf, n: int) -> ThetaPgf:
     derives c_n from (theta, a**n, q, r); the zero and minus-one branches
     also map a -> a**n.  Raises NumericalInstability when a_n or c_n leaves
     the float range (a_n underflowing to 0 included), before construction;
-    the kernel operations still evaluate such depths.
+    the kernel operations still evaluate such depths.  RegimeViolation for a
+    PGF not in theta form, DomainError unless 1 <= n < 2**53.
     """
     _instance(f, ThetaPgf, "a ThetaPgf for closed-form iteration", RegimeViolation)
-    n = _order(n, "iteration depth", 1)
+    n = _order(n, "iteration depth", 1, maximum=_MAX_DEPTH)
     if n == 1:
         return f
     log_an, b_n = _iterated(f, n)
@@ -429,10 +433,10 @@ def theta_coefficients(f: ThetaPgf, k_max: int) -> np.ndarray:
     expanded by one power recurrence, which stays finite and accurate at
     every order (subcritical seeds g_0 come from ``_pinned_power``).  Tiny
     negative rounding residues are clamped to zero.  RegimeViolation for a
-    PGF not in theta form.
+    PGF not in theta form, DomainError unless 0 <= k_max <= 2**16.
     """
     _instance(f, ThetaPgf, "a ThetaPgf for theta coefficients", RegimeViolation)
-    k_max = _order(k_max, "k_max", 0)
+    k_max = _order(k_max, "k_max", 0, maximum=_MAX_ORDER)
     if f.regime is Regime.MINUS_ONE:        # f = a * s + (1 - a) * q
         return np.array([(1.0 - f.a) * f.q, f.a] + [0.0] * (k_max - 1))[:k_max + 1]
     if f.regime.is_zero():
@@ -494,21 +498,22 @@ def series_coefficients(f: Pgf | Callable, k_max: int) -> np.ndarray:
     Args:
         f: anything with an ``eval_extended`` accepting complex arrays, or a
             bare callable; its series must have real coefficients.
-        k_max: highest coefficient index to return.
+        k_max: highest coefficient index to return, at most 2**16.
 
     Raises:
         NumericalInstability: if a value of f is not finite, or if an
             extracted coefficient is below -1e-8, which signals that
             round-off, amplified by radius**(-k), swamps the coefficients at
             this order.
-        DomainError: if f does not return one value per node, or if
-            f(radius) or f(-radius) is not real, so f has no real
-            coefficients.
+        DomainError: if f is neither a PGF nor callable, if k_max is not
+            an integer in [0, 2**16], if f does not return one value per
+            node, or if f(radius) or f(-radius) is not real, so f has no
+            real coefficients.
     """
-    k_max = _order(k_max, "k_max", 0)
+    k_max = _order(k_max, "k_max", 0, maximum=_MAX_ORDER)
     radius = _extraction_radius(k_max)
     num_nodes = max(64, 8 * k_max)
-    evaluate = getattr(f, "eval_extended", f)
+    evaluate = _instance(getattr(f, "eval_extended", f), Callable, "a PGF or a callable f")
     nodes = _half_circle(radius, num_nodes)
     values = np.asarray(evaluate(nodes), dtype=complex)
     if values.shape != nodes.shape:     # hfft would pad or cut it silently

@@ -559,6 +559,13 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and needle.replace("{d}", str(tmp_path)) in err
 
+    def test_ragged_rows_named_ragged(self, tmp_path, capsys):
+        (tmp_path / "points.csv").write_text("1,0\n1\n")
+        assert app([arg.replace("{d}", str(tmp_path)) for arg in _GRAM]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "ragged" in err and "non-numeric" not in err
+        assert "[1, 2] columns" in err
+
 
 class TestFig1:
     def test_linear_case_runs_and_reports(self, tmp_path, capsys):

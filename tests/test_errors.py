@@ -11,15 +11,17 @@ from thetakernels import gp
 from thetakernels.activations import (HermiteSeriesActivation, ReferenceActivation,
                                       activation_to_pgf, bivariate_expectation,
                                       reference_activation)
-from thetakernels.errors import (DomainError, InvalidCoefficients, NumericalInstability,
-                                 RegimeViolation, ThetaKernelError)
-from thetakernels.hermite import hermite_series
-from thetakernels.kernels import (CMixedKernel, MixedKernel, PureKernel, correlation,
-                                  cross_gram, kernel_at_rho, kernel_limit, surface_area)
+from thetakernels.errors import (DimensionUnsupported, DomainError, InvalidCoefficients,
+                                 NumericalInstability, RegimeViolation, ThetaKernelError)
+from thetakernels.hermite import hermite_design, hermite_series
+from thetakernels.kernels import (CMixedKernel, MixedKernel, PureKernel,
+                                  cmixed_pure_representation, correlation, cross_gram,
+                                  eigensystem, kernel_at_rho, kernel_limit, multiplicity,
+                                  surface_area)
 from thetakernels.mlp import (MlpConfig, convergence_study, empirical_kernel,
                               reference_kernel_value, sample_mlp_output)
 from thetakernels.pgf import (SeriesPgf, make_theta_pgf, pgf_iterate_closed,
-                              series_coefficients)
+                              series_coefficients, theta_coefficients, theta_pgf_to_series)
 
 F = make_theta_pgf(theta=1.0, a=1.0, c=1.0)
 K = PureKernel(F, 2)
@@ -105,6 +107,25 @@ def _with_nan_entry(name, call):
     (lambda: gp.predict(gp.fit(K, X, Y), [[1.0, 0.0, 0.0], [1.0]]), DomainError),
     (lambda: cross_gram(K, [["a", 0.0, 0.0]], X), DomainError),
     (lambda: correlation("ab", "cd"), DomainError),
+    (lambda: series_coefficients(None, 4), DomainError),
+    (lambda: series_coefficients("ab", 4), DomainError),
+    (lambda: CMixedKernel(0.5, 3), DomainError),
+    (lambda: CMixedKernel(0.5, None), DomainError),
+    (lambda: cmixed_pure_representation(0.5, 3, 1), DomainError),
+    (lambda: theta_coefficients(SeriesPgf((0.5, 0.5)), 4), RegimeViolation),
+    (lambda: theta_pgf_to_series(SeriesPgf((0.5, 0.5)), 4), RegimeViolation),
+    (lambda: pgf_iterate_closed(F, 10 ** 400), DomainError),
+    (lambda: pgf_iterate_closed(F, 2 ** 53), DomainError),
+    (lambda: kernel_at_rho(PureKernel(F, 10 ** 400), 0.5), RegimeViolation),
+    (lambda: theta_coefficients(F, 10 ** 400), DomainError),
+    (lambda: series_coefficients(F, 2 ** 16 + 1), DomainError),
+    (lambda: activation_to_pgf(RELU, 10 ** 400), DomainError),
+    (lambda: hermite_design(10 ** 400, 0.5), DomainError),
+    (lambda: empirical_kernel(NET, [1.0, 0.0], [0.0, 1.0], 10 ** 400), DomainError),
+    (lambda: empirical_kernel(NET, [1.0, 0.0], [0.0, 1.0], 10 ** 8 + 1), DomainError),
+    (lambda: eigensystem(K, 3, 10 ** 400), DomainError),
+    (lambda: multiplicity(2 ** 16 + 1, 2), DimensionUnsupported),
+    (lambda: multiplicity(3, 2 ** 16 + 1), DomainError),
 ], ids=["prelu-slope", "nan-slope", "bool-slope", "slope-square-overflows",
         "empty-series", "negative-hermite-coefficient", "nan-hermite-coefficient",
         "cmixed-bool-theta", "cmixed-bool-c", "pure-limit-c-sum", "pure-series-factor",
@@ -120,8 +141,21 @@ def _with_nan_entry(name, call):
         "series-ragged-entry", "sample-str-input", "empirical-str-input",
         "study-str-input", "gp-str-targets", "gp-str-inputs", "gp-ragged-inputs",
         "predict-str-query", "predict-ragged-query", "cross-gram-str-point",
-        "correlation-str"])
+        "correlation-str", "oracle-none", "oracle-str", "cmixed-int-c", "cmixed-none-c",
+        "cmixed-pure-int-c", "coefficients-series-pgf", "to-series-series-pgf",
+        "iterate-huge-depth", "iterate-depth-ceiling", "pure-huge-depth",
+        "coefficients-huge-order", "oracle-order-ceiling", "to-pgf-huge-order",
+        "hermite-design-huge-order", "empirical-huge-samples", "empirical-samples-ceiling",
+        "eigensystem-huge-order", "multiplicity-dimension-ceiling",
+        "multiplicity-degree-ceiling"])
 def test_typed_error(call, error):
     with pytest.raises(error) as info:
         call()
     assert isinstance(info.value, ThetaKernelError)
+
+
+def test_ceilings_are_inclusive():
+    assert pgf_iterate_closed(F, 2 ** 53 - 1).c == pytest.approx(2.0 ** 53)
+    assert PureKernel(F, 2 ** 53 - 1).depth == 2 ** 53 - 1
+    assert multiplicity(3, 2 ** 16) == 2 * 2 ** 16 + 1
+    assert multiplicity(2 ** 16, 1) == 2 ** 16

@@ -58,6 +58,13 @@ class TestConfig:
         assert config.activations[0] is LINEAR
         assert config.activations[1] is RELU
 
+    def test_activation_list_taken_like_width_list(self):
+        config = MlpConfig(widths=[2, 8, 8, 1], activations=[LINEAR, RELU], seed=0)
+        assert config.widths == (2, 8, 8, 1)
+        assert config.activations == (LINEAR, RELU)
+        with pytest.raises(DomainError):
+            MlpConfig(widths=(2, 8, 8, 1), activations=[LINEAR, RELU, RELU], seed=0)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             MlpConfig(widths=(2, 1), activations=RELU, seed=0)
