@@ -28,7 +28,6 @@ _MAX_ORDER = 2 ** 16        # series orders k_max and harmonic degrees
 _MAX_DIMENSION = 2 ** 16    # sphere dimensions m
 _MAX_SAMPLES = 10 ** 8      # Monte Carlo samples, one float each: 800 MB at most
 
-
 __all__ = [
     "ThetaKernelError",
     "RegimeViolation",

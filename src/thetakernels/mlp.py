@@ -282,8 +282,10 @@ def reference_kernel_value(config: MlpConfig, rho0: float) -> float:
     dual(1), with dual(s) = E[phi(X) phi(Z)] the activation's exact dual
     (Daniely, Frostig and Singer, NIPS 2016), clipped to [-1, 1] against
     round-off (prelu(-0.5)'s dual(1) reads 1 + 2^-52).  An identically
-    zero activation raises ZeroNormLayer, a rho0 not real in [-1, 1] DomainError.
+    zero activation raises ZeroNormLayer, a non-MlpConfig config or a rho0 not
+    real in [-1, 1] DomainError.
     """
+    _instance(config, MlpConfig, "an MlpConfig")
     rho = _real(rho0, "correlation in [-1, 1]", -1.0, 1.0)
     for layer, act in enumerate(config.activations):
         norm = _dual(act, 1.0)

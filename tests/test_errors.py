@@ -90,6 +90,7 @@ def _with_nan_entry(name, call):
     (lambda: kernel_limit(K, "x"), DomainError),
     (lambda: reference_kernel_value(NET, "x"), DomainError),
     (lambda: reference_kernel_value(NET, [0.5]), DomainError),
+    (lambda: reference_kernel_value(None, 0.5), DomainError),
     (lambda: bivariate_expectation(RELU, "x"), DomainError),
     (lambda: bivariate_expectation(RELU, [0.5]), DomainError),
     (lambda: bivariate_expectation(RELU, np.array([0.5, 0.5])), DomainError),
@@ -136,7 +137,7 @@ def _with_nan_entry(name, call):
         "oracle-short-values", "gp-nan-target",
         "gp-inf-target", "gp-inf-noise", "gp-nan-noise", "gp-bool-noise", "gp-nan-gram",
         "gp-nan-cross-gram", "rho-str", "rho-complex", "rho-complex-array", "limit-rho-str",
-        "reference-rho-str", "reference-rho-list", "bivariate-str", "bivariate-list",
+        "reference-rho-str", "reference-rho-list", "reference-none-config", "bivariate-str", "bivariate-list",
         "bivariate-pair", "eval-str", "eval-complex", "series-str-entry",
         "series-ragged-entry", "sample-str-input", "empirical-str-input",
         "study-str-input", "gp-str-targets", "gp-str-inputs", "gp-ragged-inputs",
