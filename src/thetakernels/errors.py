@@ -27,6 +27,7 @@ _MAX_DEPTH = 2 ** 53 - 1    # depths and iteration counts, exact as floats
 _MAX_ORDER = 2 ** 16        # series orders k_max and harmonic degrees
 _MAX_DIMENSION = 2 ** 16    # sphere dimensions m
 _MAX_SAMPLES = 10 ** 8      # Monte Carlo samples, one float each: 800 MB at most
+_MAX_WIDTH = 2 ** 16        # MLP layer widths: a 256-sample chunk peaks near 805 MB
 
 __all__ = [
     "ThetaKernelError",

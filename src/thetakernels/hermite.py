@@ -40,6 +40,9 @@ __all__ = [
 #: is ~ 1e-38, far below every tolerance in the package.
 _HALF_RANGE_CUTOFF = 13.0
 _HALF_RANGE_NODES = 240
+#: Largest Gauss-Hermite rule numpy builds: from 371 nodes on its weights
+#: underflow to zero, then overflow to NaN.
+_MAX_HERMITE_NODES = 370
 
 
 def hermite_design(k_max: int, x) -> np.ndarray:
@@ -86,11 +89,17 @@ def gauss_hermite_rule(num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
     Change of variables from the physicists' rule: points scale by sqrt(2),
     weights normalize by sqrt(pi).  Exact for polynomials of degree
-    2 * num_nodes - 1.  numpy's rule loses its weights from 371 nodes on
-    (all zero, then NaN), which raises NumericalInstability: the normalized
-    weights must be finite and sum to 1 within 1e-12.
+    2 * num_nodes - 1.  At most 370 nodes: numpy's rule loses its weights
+    from 371 nodes on (all zero, then NaN), so a larger num_nodes raises
+    NumericalInstability before any rule is built, as does a rule whose
+    normalized weights are not finite or do not sum to 1 within 1e-12.
+    DomainError unless num_nodes is an integer >= 1.
     """
     num_nodes = _order(num_nodes, "num_nodes", 1)
+    if num_nodes > _MAX_HERMITE_NODES:
+        raise NumericalInstability(
+            f"Gauss-Hermite rule with {num_nodes} nodes: numpy builds at most "
+            f"{_MAX_HERMITE_NODES}; use fewer nodes")
     with np.errstate(all="ignore"):
         points, weights = np.polynomial.hermite.hermgauss(num_nodes)
     weights = weights / math.sqrt(math.pi)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -391,6 +392,26 @@ def _multiplicity(m: int, k: int) -> int:
     return numerator // k
 
 
+@lru_cache(maxsize=8)
+def _multiplicities(m: int, k_max: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """r(m, k) for k = 0 .. k_max, with their floats as a read-only array.
+
+    Cached per (m, k_max) for ``eigensystem``.  float(r) rounds as Python's
+    float / int division does; NumericalInstability where an r(m, k) exceeds
+    the float range (from k 850 at m 343), so no eigenvalue is divided by it.
+    """
+    try:    # r(m, k) grows with k, so r(m, k_max) is the largest
+        float(_multiplicity(m, k_max))
+    except OverflowError:
+        raise NumericalInstability(
+            f"multiplicity r({m}, {k_max}) exceeds the float range; "
+            "use a lower k_max or dimension") from None
+    mults = tuple(_multiplicity(m, k) for k in range(k_max + 1))
+    divisors = np.array([float(r) for r in mults])
+    divisors.flags.writeable = False
+    return mults, divisors
+
+
 @dataclass(frozen=True)
 class Eigensystem:
     """Spherical-harmonic eigenvalues of a compositional kernel in R^m.
@@ -417,14 +438,16 @@ def eigensystem(spec: KernelSpec, m: int, k_max: int) -> Eigensystem:
     ``kernel_at_rho`` computes, so eigensystems stay available for series
     and mixed specs with no closed form, and at every depth.  The kernel's
     coefficients are real, so the oracle evaluates it once, on the
-    N/2 + 1 nodes of the upper half of its circle.  m and k_max are checked
-    as in ``multiplicity``.
+    N/2 + 1 nodes of the upper half of its circle.  The multiplicities and
+    their float divisors come from a table cached per (m, k_max)
+    (``_multiplicities``), and lambdas[k] = surf * p[k] / float(r(m, k)) in
+    one array expression.  m and k_max are checked as in ``multiplicity``;
+    NumericalInstability where an r(m, k) exceeds the float range.
     """
     k_max = _order(k_max, "k_max", 0, maximum=_MAX_ORDER)
     m = _order(m, "dimension m", 3, DimensionUnsupported, _MAX_DIMENSION)
     surf = surface_area(m)
-    mults = [_multiplicity(m, k) for k in range(k_max + 1)]
+    mults, divisors = _multiplicities(m, k_max)
     p = series_coefficients(_kernel_evaluator(spec), k_max)
-    lambdas = [surf * float(pk) / mult for pk, mult in zip(p, mults)]
-    return Eigensystem(dimension=m, lambdas=tuple(lambdas),
-                       multiplicities=tuple(mults))
+    return Eigensystem(dimension=m, lambdas=tuple((surf * p / divisors).tolist()),
+                       multiplicities=mults)

@@ -62,7 +62,7 @@ import numpy as np
 
 from .activations import Activation, _check_activation, _dual
 from .errors import (DimensionMismatch, DomainError, ZeroNormLayer, ZeroVector, _MAX_SAMPLES,
-                     _instance, _items, _order, _real, _reals)
+                     _MAX_WIDTH, _instance, _items, _order, _real, _reals)
 from .kernels import _unit, correlation
 
 __all__ = [
@@ -82,7 +82,10 @@ _CHUNK = 256
 class MlpConfig:
     """Widths h_0 .. h_{n+1}, one activation per layer 1 .. n, and the stream
     seed.  Widths and per-layer activations are sequences; a single
-    activation is stored as n copies."""
+    activation is stored as n copies.  Each width is an integer in
+    [1, 2**16] (DomainError), so one 256-sample chunk of ``empirical_kernel``
+    stays under 1 GB per thread; ``sample_mlp_output`` draws whole
+    h_{k+1} x h_k weight matrices and needs far smaller widths."""
 
     widths: tuple[int, ...]
     activations: tuple[Activation, ...]
@@ -90,7 +93,7 @@ class MlpConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "widths", tuple(
-            _order(h, f"width h_{k}", 1)
+            _order(h, f"width h_{k}", 1, maximum=_MAX_WIDTH)
             for k, h in enumerate(_items(self.widths, "widths h_0 .. h_{n+1}", 3))))
         n = self.num_layers
         acts = self.activations
@@ -302,10 +305,11 @@ def convergence_study(base: MlpConfig, widths: Sequence[int],
 
     Each width w replaces every hidden width h_1 .. h_n of ``base``; input
     and output widths stay.  Rows are ordered by width.  DomainError unless
-    base is an MlpConfig and widths a non-empty, increasing sequence.
+    base is an MlpConfig and widths a non-empty, increasing sequence of
+    integers in [1, 2**16], the ``MlpConfig`` width ceiling.
     """
     _instance(base, MlpConfig, "an MlpConfig")
-    widths = [_order(w, "width", 1) for w in _items(widths, "widths")]
+    widths = [_order(w, "width", 1, maximum=_MAX_WIDTH) for w in _items(widths, "widths")]
     if any(b <= a for a, b in zip(widths, widths[1:])):
         raise DomainError(f"widths must be strictly increasing, got {widths}")
     rho0 = correlation(x, z)

@@ -44,6 +44,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -410,17 +411,21 @@ def _power_series(A: np.ndarray, alpha: float, g0: float) -> np.ndarray:
     g[k-1], ..., g[0] is the contiguous slice rev[n - k:].  A reversed view
     of g in natural order has a negative stride, which np.dot copies before
     calling BLAS; the slice reaches the same ddot with the same values in
-    the same order, so the bits do not change.
+    the same order, so the bits do not change.  So do the first k entries
+    of jA[1:] and A[1:], bound once, through ``ndarray.dot``: the same ddot
+    on the same operands as np.dot(jA[1:k + 1], tail), with the scalar
+    arithmetic on Python floats, which round as numpy's float64 does.
     """
     n = len(A)
     rev = np.empty_like(A)
     rev[n - 1] = g0
-    jA = np.arange(n) * A
-    alpha1, a0, dot = alpha + 1.0, float(A[0]), np.dot
+    jA1 = (np.arange(n) * A)[1:]
+    A1 = A[1:]
+    alpha1, a0 = alpha + 1.0, float(A[0])
     for k in range(1, n):
         tail = rev[n - k:]
-        rev[n - 1 - k] = (alpha1 * dot(jA[1:k + 1], tail)
-                          - k * dot(A[1:k + 1], tail)) / (k * a0)
+        rev[n - 1 - k] = (alpha1 * float(jA1[:k].dot(tail))
+                          - k * float(A1[:k].dot(tail))) / (k * a0)
     return rev[::-1]
 
 
@@ -466,17 +471,28 @@ def _extraction_radius(k_max: int) -> float:
     return min(0.95, max(0.5, math.exp(-6.0 / max(k_max, 1))))
 
 
+@lru_cache(maxsize=8)
+def _unit_roots(num_nodes: int) -> np.ndarray:
+    """exp(2 pi i j / num_nodes) for j < num_nodes / 4, cached per num_nodes
+    and read-only, so no caller can change the next contour's nodes."""
+    roots = np.exp((2j * np.pi / num_nodes) * np.arange(num_nodes // 4))
+    roots.flags.writeable = False
+    return roots
+
+
 def _half_circle(radius: float, num_nodes: int) -> np.ndarray:
     """The nodes z_j = radius * exp(2 pi i j / num_nodes), j = 0 .. num_nodes / 2.
 
     Only the first quarter is computed; the rest is its reflection
     z_{N/2 - j} = -conj(z_j), and z_0 = radius, z_{N/4} = i * radius and
     z_{N/2} = -radius are exact, so the odd and even parts of a real series
-    cancel exactly in the transform.  num_nodes is a multiple of 4.
+    cancel exactly in the transform.  The first quarter is radius times the
+    cached ``_unit_roots(num_nodes)``, multiplied into a fresh array on every
+    call.  num_nodes is a multiple of 4.
     """
     quarter = num_nodes // 4
     nodes = np.empty(2 * quarter + 1, dtype=complex)
-    nodes[:quarter] = radius * np.exp((2j * np.pi / num_nodes) * np.arange(quarter))
+    nodes[:quarter] = radius * _unit_roots(num_nodes)
     nodes[quarter] = 1j * radius
     nodes[quarter + 1:] = -nodes[quarter - 1::-1].conj()
     return nodes
@@ -491,7 +507,10 @@ def series_coefficients(f: Pgf | Callable, k_max: int) -> np.ndarray:
     circle adds nothing: f is evaluated once, on the N/2 + 1 nodes of the
     upper half (the first quarter computed, the second its reflection
     z -> -conj(z), with radius, i * radius and -radius exact), and the
-    coefficients are read off the Hermitian FFT of those values.  This is
+    coefficients are read off the Hermitian FFT of those values.  The unit
+    roots of the first quarter are a read-only table cached per N
+    (``_unit_roots``); f receives a fresh node array each call, so a callable
+    that writes into it cannot change a later result.  This is
     the oracle used to cross-check the closed-form coefficient formulas, so
     it deliberately shares no code with them.
 

@@ -127,6 +127,13 @@ def _with_nan_entry(name, call):
     (lambda: eigensystem(K, 3, 10 ** 400), DomainError),
     (lambda: multiplicity(2 ** 16 + 1, 2), DimensionUnsupported),
     (lambda: multiplicity(3, 2 ** 16 + 1), DomainError),
+    (lambda: empirical_kernel(MlpConfig((2, 10 ** 12, 1), RELU, 0), [1.0, 0.0], [0.0, 1.0],
+                              100), DomainError),
+    (lambda: MlpConfig((2, 2 ** 16 + 1, 1), RELU, 0), DomainError),
+    (lambda: convergence_study(NET, [8, 2 ** 16 + 1], [1.0, 0.0], [0.0, 1.0], 100),
+     DomainError),
+    (lambda: eigensystem(MixedKernel((SeriesPgf((0.5,)),)), 343, 1000),
+     NumericalInstability),
 ], ids=["prelu-slope", "nan-slope", "bool-slope", "slope-square-overflows",
         "empty-series", "negative-hermite-coefficient", "nan-hermite-coefficient",
         "cmixed-bool-theta", "cmixed-bool-c", "pure-limit-c-sum", "pure-series-factor",
@@ -148,7 +155,8 @@ def _with_nan_entry(name, call):
         "coefficients-huge-order", "oracle-order-ceiling", "to-pgf-huge-order",
         "hermite-design-huge-order", "empirical-huge-samples", "empirical-samples-ceiling",
         "eigensystem-huge-order", "multiplicity-dimension-ceiling",
-        "multiplicity-degree-ceiling"])
+        "multiplicity-degree-ceiling", "empirical-huge-width", "width-ceiling",
+        "study-width-ceiling", "eigensystem-multiplicity-overflow"])
 def test_typed_error(call, error):
     with pytest.raises(error) as info:
         call()
@@ -160,3 +168,4 @@ def test_ceilings_are_inclusive():
     assert PureKernel(F, 2 ** 53 - 1).depth == 2 ** 53 - 1
     assert multiplicity(3, 2 ** 16) == 2 * 2 ** 16 + 1
     assert multiplicity(2 ** 16, 1) == 2 ** 16
+    assert MlpConfig((2, 2 ** 16, 1), RELU, 0).widths[1] == 2 ** 16

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from thetakernels.activations import activation_from_coefficients
+from thetakernels.activations import activation_from_coefficients, bivariate_expectation
 from thetakernels.errors import NumericalInstability
 from thetakernels.hermite import (
     gauss_hermite_rule,
@@ -134,6 +134,21 @@ class TestGaussHermiteRule:
         points, weights = gauss_hermite_rule(370)
         assert np.all(np.isfinite(points)) and np.all(np.isfinite(weights))
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+    def test_ceiling_checked_before_the_rule_is_built(self, monkeypatch):
+        def refuse(num_nodes):
+            raise AssertionError(f"hermgauss({num_nodes}) was called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.polynomial.hermite, "hermgauss", refuse)
+            with pytest.raises(NumericalInstability, match="k_max = 1499"):
+                bivariate_expectation(activation_from_coefficients([1 / 1500] * 1500), 0.5)
+            with pytest.raises(NumericalInstability, match="at most 370"):
+                gauss_hermite_rule(371)
+        gauss_hermite_rule.cache_clear()
+        points, weights = gauss_hermite_rule(370)
+        assert points.shape == weights.shape == (370,)
 
 
 class TestHalfGaussianRule:

@@ -41,6 +41,7 @@ from thetakernels.pgf import (
     ThetaPgf,
     make_theta_pgf,
     pgf_iterate_closed,
+    series_coefficients,
     theta_coefficients,
     theta_pgf_to_series,
 )
@@ -599,6 +600,34 @@ class TestEigensystem:
         system = eigensystem(PureKernel(make_theta_pgf(theta=1.0, a=1.0, c=1.0), 1), m, 64)
         assert system.multiplicities == tuple(multiplicity(m, k) for k in range(65))
         assert all(type(r) is int for r in system.multiplicities)
+
+    @pytest.mark.parametrize("m", [3, 10, 343])
+    @pytest.mark.parametrize("spec", [
+        PureKernel(make_theta_pgf(theta=0.5, a=0.5, q=0.3), 3),
+        CMixedKernel(0.5, (0.2, 0.3, 0.5)),
+        MixedKernel((theta_pgf_to_series(make_theta_pgf(theta=-0.5, a=0.5, q=0.3), 16),
+                     make_theta_pgf(theta=1.0, a=1.0, c=1.0))),
+    ], ids=["pure", "cmixed", "mixed-series"])
+    def test_lambda_and_multiplicity_bits_pinned(self, spec, m):
+        """Eigenvalues against a verbatim copy of the per-degree Python form."""
+        system = eigensystem(spec, m, 64)
+        p = series_coefficients(kernels._kernel_evaluator(spec), 64)
+        surf = surface_area(m)
+        mults = [kernels._multiplicity(m, k) for k in range(65)]
+        expected = [surf * float(pk) / mult for pk, mult in zip(p, mults)]
+        assert np.array(system.lambdas).tobytes() == np.array(expected).tobytes()
+        assert all(type(v) is float for v in system.lambdas)
+        assert system.multiplicities == tuple(mults)
+        assert eigensystem(spec, m, 64) == system
+
+    def test_cached_multiplicity_table_is_read_only(self):
+        mults, divisors = kernels._multiplicities(10, 64)
+        assert not divisors.flags.writeable
+        with pytest.raises(ValueError):
+            divisors[0] = 2.0
+        assert kernels._multiplicities(10, 64)[1] is divisors
+        assert eigensystem(PureKernel(make_theta_pgf(theta=1.0, a=1.0, c=1.0), 1),
+                           10, 64).multiplicities is mults
 
     def test_sum_rule(self):
         f = make_theta_pgf(theta=0.5, a=0.5, q=0.3)

@@ -493,6 +493,37 @@ class TestSeriesExtraction:
         expected = radius * np.exp(2j * np.pi * np.arange(num_nodes // 2 + 1) / num_nodes)
         assert np.max(np.abs(nodes - expected)) <= 1e-15
 
+    @pytest.mark.parametrize("k_max, num_nodes", [(8, 64), (64, 512), (160, 1280)])
+    def test_half_circle_bits_pinned(self, k_max, num_nodes):
+        """The nodes against a verbatim copy of the uncached expression."""
+        radius = pgf._extraction_radius(k_max)
+        quarter = num_nodes // 4
+        expected = np.empty(2 * quarter + 1, dtype=complex)
+        expected[:quarter] = radius * np.exp((2j * np.pi / num_nodes) * np.arange(quarter))
+        expected[quarter] = 1j * radius
+        expected[quarter + 1:] = -expected[quarter - 1::-1].conj()
+        for _ in range(2):      # the second call reads the cached roots
+            assert np.array_equal(pgf._half_circle(radius, num_nodes), expected)
+
+    def test_cached_unit_roots_are_read_only(self):
+        roots = pgf._unit_roots(512)
+        assert not roots.flags.writeable
+        with pytest.raises(ValueError):
+            roots[1] = 0.0
+        assert pgf._unit_roots(512) is roots
+
+    def test_callable_writing_its_nodes_changes_no_later_result(self):
+        f = make_theta_pgf(theta=0.5, a=0.5, q=0.3)
+        before = series_coefficients(f, 64)
+
+        def vandal(z):
+            values = f.eval_extended(z)
+            z[:] = 0.0
+            return values
+
+        assert np.array_equal(series_coefficients(vandal, 64), before)
+        assert np.array_equal(series_coefficients(f, 64), before)
+
     def test_odd_series_has_exactly_zero_even_orders(self):
         for k_max in (3, 8, 40):
             out = series_coefficients(SeriesPgf((0.0, 0.5, 0.0, 0.25)), k_max)
