@@ -135,7 +135,6 @@ class TestGaussHermiteRule:
         assert np.all(np.isfinite(points)) and np.all(np.isfinite(weights))
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
-
     def test_ceiling_checked_before_the_rule_is_built(self, monkeypatch):
         def refuse(num_nodes):
             raise AssertionError(f"hermgauss({num_nodes}) was called")
