@@ -42,7 +42,7 @@ from .activations import (
     activation_to_pgf,
     reference_activation,
 )
-from .errors import ConfigError, ThetaKernelError
+from .errors import ConfigError, ThetaKernelError, _MAX_LAYERS, _order
 from .gp import fit as gp_fit
 from .gp import predict as gp_predict
 from .kernels import (
@@ -407,7 +407,8 @@ def _cmd_kernel_eigen(args) -> None:
 
 def _cmd_mlp_study(args) -> None:
     acts = _c_list(args.activation, "--activation", reference_activation)
-    depth = args.layers if args.layers is not None else max(2, len(acts))
+    depth = _order(args.layers if args.layers is not None else max(2, len(acts)),
+                   "--depth", 1, ConfigError, maximum=_MAX_LAYERS)
     widths = list(_c_list(args.widths, "--widths", int))
     rho = args.rho
     if not -1.0 <= rho <= 1.0:

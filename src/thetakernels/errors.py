@@ -28,6 +28,8 @@ _MAX_ORDER = 2 ** 16        # series orders k_max and harmonic degrees
 _MAX_DIMENSION = 2 ** 16    # sphere dimensions m
 _MAX_SAMPLES = 10 ** 8      # Monte Carlo samples, one float each: 800 MB at most
 _MAX_WIDTH = 2 ** 16        # MLP layer widths: a 256-sample chunk peaks near 805 MB
+_MAX_LAYERS = 2 ** 20 - 1   # activated MLP layers: a Philox key holds a 20-bit layer index
+_MAX_ENTRIES = 2 ** 24      # entries of one drawn weight matrix: 128 MiB of doubles
 
 __all__ = [
     "ThetaKernelError",

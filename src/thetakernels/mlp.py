@@ -61,8 +61,9 @@ from typing import Sequence, get_args
 import numpy as np
 
 from .activations import Activation, _check_activation, _dual
-from .errors import (DimensionMismatch, DomainError, ZeroNormLayer, ZeroVector, _MAX_SAMPLES,
-                     _MAX_WIDTH, _instance, _items, _order, _real, _reals)
+from .errors import (DimensionMismatch, DomainError, ZeroNormLayer, ZeroVector, _MAX_ENTRIES,
+                     _MAX_LAYERS, _MAX_SAMPLES, _MAX_WIDTH, _instance, _items, _order, _real,
+                     _reals)
 from .kernels import _unit, correlation
 
 __all__ = [
@@ -85,16 +86,20 @@ class MlpConfig:
     activation is stored as n copies.  Each width is an integer in
     [1, 2**16] (DomainError), so one 256-sample chunk of ``empirical_kernel``
     stays under 1 GB per thread; ``sample_mlp_output`` draws whole
-    h_{k+1} x h_k weight matrices and needs far smaller widths."""
+    h_{k+1} x h_k weight matrices of at most 2**24 entries.  The Philox key
+    holds the seed in 64 bits and the layer index in 20, so the seed is an
+    integer in [-2**63, 2**63) and n at most 2**20 - 1 (DomainError), and
+    distinct configs never share a stream."""
 
     widths: tuple[int, ...]
     activations: tuple[Activation, ...]
     seed: int
 
     def __post_init__(self) -> None:
+        widths = _items(self.widths, "widths h_0 .. h_{n+1}", 3)
+        _order(len(widths) - 2, "number of activated layers n", 1, maximum=_MAX_LAYERS)
         object.__setattr__(self, "widths", tuple(
-            _order(h, f"width h_{k}", 1, maximum=_MAX_WIDTH)
-            for k, h in enumerate(_items(self.widths, "widths h_0 .. h_{n+1}", 3))))
+            _order(h, f"width h_{k}", 1, maximum=_MAX_WIDTH) for k, h in enumerate(widths)))
         n = self.num_layers
         acts = self.activations
         if isinstance(acts, get_args(Activation)):
@@ -105,7 +110,8 @@ class MlpConfig:
         for act in acts:   # reference_kernel_value needs each layer's exact dual
             _check_activation(act)
         object.__setattr__(self, "activations", acts)
-        object.__setattr__(self, "seed", _order(self.seed, "seed", None))
+        object.__setattr__(self, "seed", _order(self.seed, "seed", -2 ** 63,
+                                                maximum=2 ** 63 - 1))
 
     @property
     def num_layers(self) -> int:
@@ -136,6 +142,8 @@ class StudyRow:
 
 def _layer_generator(seed: int, stream: int, layer: int) -> np.random.Generator:
     # 128-bit Philox key: seed in the high word, (stream, layer) packed low.
+    # Callers bound seed, stream and layer to 64, 44 and 20 signed or
+    # unsigned bits, so the two's-complement masks keep keys one-to-one.
     key = ((seed & 0xFFFFFFFFFFFFFFFF) << 64) | ((stream & 0xFFFFFFFFFFF) << 20) \
         | (layer & 0xFFFFF)
     return np.random.Generator(np.random.Philox(key=key))
@@ -155,25 +163,31 @@ def sample_mlp_output(config: MlpConfig, input: Sequence[float],
 
     ``weights`` overrides the random draw with explicit matrices (shape
     h_{k+1} x h_k each), which is how hand-traced examples pin the path.
-    A config that is not an MlpConfig, a seed_offset that is not an integer,
-    weights that are not a sequence, or a non-finite or non-real input or
-    weight entry raises DomainError.
+    Drawn matrices are whole, so each may hold at most 2**24 entries
+    (128 MiB of doubles); a wider config raises DomainError before any draw.
+    A config that is not an MlpConfig, a seed_offset that is not an integer
+    in [-2**43, 2**43) (the 44 stream bits of the Philox key), weights that
+    are not a sequence, or a non-finite or non-real input or weight entry
+    raises DomainError.
     """
     _instance(config, MlpConfig, "an MlpConfig")
-    seed_offset = _order(seed_offset, "seed_offset", None)
+    seed_offset = _order(seed_offset, "seed_offset", -2 ** 43, maximum=2 ** 43 - 1)
     x = _reals(input, "MLP input")
     if x.shape != (config.widths[0],):
         raise DimensionMismatch(
             f"input must have shape ({config.widths[0]},), got {x.shape}")
     if not x.any():
         raise ZeroVector("MLP input must be nonzero")
+    shapes = list(zip(config.widths[1:], config.widths[:-1]))
     if weights is not None:
         weights = [_reals(w, f"weight matrix {k}")
                    for k, w in enumerate(_items(weights, "weights"))]
-        shapes = list(zip(config.widths[1:], config.widths[:-1]))
         if [w.shape for w in weights] != shapes:
             raise DimensionMismatch(
                 f"weight shapes {[w.shape for w in weights]} != required {shapes}")
+    else:
+        _order(max(rows * cols for rows, cols in shapes),
+               "entries h_{k+1} * h_k of a drawn weight matrix", 1, maximum=_MAX_ENTRIES)
     n = config.num_layers
     for layer in range(n + 1):
         if weights is not None:

@@ -535,6 +535,7 @@ class TestInputErrors:
         ({}, ["kernel-eval", *_PURE], "--rho"),
         ({}, ["kernel-limit", *_PURE, "--rho", "0", "--c-sum", "-3"], "c_sum"),
         ({}, ["mlp-study"], "--widths"),
+        ({}, ["mlp-study", "--depth", "1000000000000000000", "--widths", "8"], "--depth"),
         ({}, ["mlp-study", "--activation", "prelu(1e200)", "--widths", "64"],
          "finite square"),
         ({}, ["activation-curve", "--name", "prelu(1e200)"], "--name"),
@@ -549,9 +550,9 @@ class TestInputErrors:
     ], ids=["points-missing", "points-empty", "points-header-only", "points-non-numeric",
             "config-missing", "config-not-json", "config-list", "factor-not-object",
             "model-kind", "curve-no-name", "grid-reversed", "eval-no-rho",
-            "pure-limit-c-sum", "study-no-widths", "study-activation-reason",
-            "curve-name-flag", "out-unwritable", "grid-overflow", "grid-too-many-points",
-            "cmixed-c-sum-overflow"])
+            "pure-limit-c-sum", "study-no-widths", "study-depth-too-large",
+            "study-activation-reason", "curve-name-flag", "out-unwritable", "grid-overflow",
+            "grid-too-many-points", "cmixed-c-sum-overflow"])
     def test_exit_2_naming_the_source(self, tmp_path, capsys, files, argv, needle):
         for name, text in files.items():
             (tmp_path / name).write_text(text)

@@ -19,6 +19,7 @@ from thetakernels.errors import (
     ZeroNormLayer,
     ZeroVector,
 )
+from thetakernels import mlp
 from thetakernels.kernels import cmixed_pure_representation
 from thetakernels.mlp import (
     KernelEstimate,
@@ -84,6 +85,64 @@ class TestConfig:
             MlpConfig(widths=(2, 256, 1), activations=half, seed=0)
         with pytest.raises(DomainError):
             MlpConfig(widths=(2, 8, 8, 1), activations=(RELU, half), seed=0)
+
+
+class TestStreamKeys:
+    """The Philox key packs seed, stream and layer into 64, 44 and 20 bits;
+    each is bounded so that masking them stays one-to-one."""
+
+    @pytest.mark.parametrize("seed, alias", [(5, 5 + 2 ** 64), (-1, 2 ** 64 - 1)])
+    def test_seed_alias_refused(self, seed, alias):
+        assert MlpConfig((2, 8, 1), RELU, seed=seed).seed == seed
+        with pytest.raises(DomainError, match="seed"):
+            MlpConfig((2, 8, 1), RELU, seed=alias)
+
+    def test_seed_range_ends(self):
+        for seed in (-2 ** 63, 2 ** 63 - 1):
+            assert MlpConfig((2, 8, 1), RELU, seed=seed).seed == seed
+        for seed in (-2 ** 63 - 1, 2 ** 63):
+            with pytest.raises(DomainError, match="seed"):
+                MlpConfig((2, 8, 1), RELU, seed=seed)
+
+    def test_seed_offset_alias_refused(self):
+        config = MlpConfig((2, 8, 1), RELU, seed=0)
+        for offset in (3, -2 ** 43, 2 ** 43 - 1):
+            assert sample_mlp_output(config, [1.0, 0.0], seed_offset=offset).shape == (1,)
+        for offset in (3 + 2 ** 44, -2 ** 43 - 1, 2 ** 43):
+            with pytest.raises(DomainError, match="seed_offset"):
+                sample_mlp_output(config, [1.0, 0.0], seed_offset=offset)
+
+    def test_layer_count_beyond_20_bits_refused(self):
+        with pytest.raises(DomainError, match="number of activated layers"):
+            MlpConfig((2,) + (1,) * 2 ** 20 + (1,), RELU, seed=0)
+
+
+class TestDrawnMatrixCeiling:
+    """sample_mlp_output refuses a drawn matrix above 2**24 entries before it
+    draws; the generator is replaced, so no large matrix is ever drawn."""
+
+    class _Drawn(Exception):
+        pass
+
+    def _refuse_draws(self, monkeypatch):
+        def generator(*args):
+            raise self._Drawn
+        monkeypatch.setattr(mlp, "_layer_generator", generator)
+
+    def test_full_width_config_refused_before_drawing(self, monkeypatch):
+        self._refuse_draws(monkeypatch)
+        config = MlpConfig(widths=(2, 65536, 65536, 1), activations=RELU, seed=0)
+        with pytest.raises(DomainError, match="drawn weight matrix"):
+            sample_mlp_output(config, [1.0, 0.0])
+
+    def test_ceiling_admits_two_to_the_24_entries(self, monkeypatch):
+        self._refuse_draws(monkeypatch)
+        config = MlpConfig(widths=(2, 4096, 4096, 1), activations=RELU, seed=0)
+        with pytest.raises(self._Drawn):
+            sample_mlp_output(config, [1.0, 0.0])
+        config = MlpConfig(widths=(2, 4096, 4097, 1), activations=RELU, seed=0)
+        with pytest.raises(DomainError, match="drawn weight matrix"):
+            sample_mlp_output(config, [1.0, 0.0])
 
 
 # Each call builds its integer argument with ``as_int``.

@@ -16,6 +16,7 @@ from thetakernels.errors import (
     InvalidCoefficients,
     NumericalInstability,
     RegimeViolation,
+    _MAX_ORDER,
 )
 from thetakernels.activations import activation_to_pgf, reference_activation
 from thetakernels.hermite import gauss_hermite_rule, hermite_design
@@ -434,13 +435,34 @@ class TestSeriesExtraction:
         assert out[0] == pytest.approx(0.5, abs=1e-13)
         assert out[1] == pytest.approx(0.25, abs=1e-13)
 
-    def test_negativity_guard_at_high_order(self):
-        # At the default contour the round-off floor, amplified by
-        # radius**-k, exceeds the guard at order 512 but not at 384.
+    def test_oracle_holds_at_order_512(self):
         f = make_theta_pgf(theta=0.5, a=1.5, c=0.3)
-        assert np.all(series_coefficients(f, 384) >= 0.0)
-        with pytest.raises(NumericalInstability):
-            series_coefficients(f, 512)
+        assert np.max(np.abs(series_coefficients(f, 512) - theta_coefficients(f, 512))) <= 1e-13
+
+    def test_negativity_guard_trips_on_a_negative_coefficient(self):
+        with pytest.raises(NumericalInstability, match="negative coefficient"):
+            series_coefficients(lambda z: 0.6 - 0.3 * z, 4)
+
+    def test_radius_rule_bounds_amplification_and_aliasing(self):
+        # radius**(-k) <= e**6 up to the rounding of radius itself, which
+        # the power amplifies k-fold (k * 2**-53 <= 7.3e-12 relative).
+        k = np.arange(_MAX_ORDER + 1)
+        radius = np.array([pgf._extraction_radius(int(j)) for j in k])
+        assert np.all(radius ** -k.astype(float) <= math.exp(6.0) * (1.0 + 1e-11))
+        assert np.all(radius ** np.maximum(64, 8 * k).astype(float) <= 6e-20)
+
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_oracle_matches_formula_at_high_order(self, case):
+        f = draw_case(case, np.random.default_rng(5100 + case))
+        for k_max in (512, 4096):
+            oracle = series_coefficients(f, k_max)
+            assert np.max(np.abs(oracle - theta_coefficients(f, k_max))) <= 1e-13
+
+    def test_degree_one_polynomial_at_order_1000(self):
+        expected = np.zeros(1001)
+        expected[1] = 0.5
+        out = series_coefficients(SeriesPgf((0.0, 0.5)), 1000)
+        assert np.max(np.abs(out - expected)) <= 1e-14
 
     def test_adaptive_radius_accurate_at_high_order(self):
         f = make_theta_pgf(theta=1.0, a=1.0, c=1.0)

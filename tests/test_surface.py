@@ -1,6 +1,7 @@
 """A sweep over the public surface: each argument of a valid call, replaced by
 each hostile value, raises a ThetaKernelError or gives finite values, and no
-call hangs (a fixed property table, in the manner of QuickCheck)."""
+call hangs (a fixed property table, in the manner of QuickCheck).  The CLI
+gets the same sweep over the numeric and list flags of its subcommands."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import thetakernels as tk
+from thetakernels.cli import app
 
 F = tk.ThetaPgf(theta=1.0, a=1.0, c=1.0)
 SUB = tk.ThetaPgf(theta=0.5, a=0.5, q=0.3)
@@ -149,3 +151,85 @@ def test_every_public_callable_has_a_valid_call():
               if inspect.isclass(obj) and issubclass(obj, (BaseException, enum.Enum))}
     missing = callables - covered - exempt - RECORDS
     assert not missing, sorted(_label(obj) for obj in missing)
+
+
+#: One valid in-process argv per CLI subcommand; "{d}" stands for the test's
+#: directory, which holds every input file and receives every output.
+CLI_VALID = {
+    "pgf-eval": ["--theta", "1", "--a", "1", "--c", "1", "--s", "0.5"],
+    "pgf-iterate": ["--theta", "1", "--a", "1", "--c", "1", "--n", "3", "--s", "0.5"],
+    "pgf-coeffs": ["--theta", "0.5", "--a", "0.5", "--q", "0.3", "--r", "1.5",
+                   "--k-max", "8", "--out", "{d}/p.csv"],
+    "activation-curve": ["--theta", "1", "--a", "1", "--c", "1", "--k-max", "8",
+                         "--x-min", "-1", "--x-max", "1", "--step", "0.5",
+                         "--out", "{d}/curve.csv"],
+    "activation-to-pgf": ["--name", "relu", "--k-max", "8", "--out", "{d}/relu.csv"],
+    "kernel-eval": ["--kind", "cmixed", "--theta", "0.5", "--c", "0.5,0.25",
+                    "--x", "1,0", "--z", "0.6,0.8"],
+    "kernel-gram": ["--theta", "1", "--a", "1", "--c", "1", "--depth", "2",
+                    "--points", "{d}/points.csv", "--out", "{d}/gram.csv"],
+    "kernel-limit": ["--kind", "cmixed", "--theta", "0.5", "--c", "0.5,0.25",
+                     "--rho", "0.5", "--c-sum", "1"],
+    "kernel-eigen": ["--theta", "1", "--a", "1", "--c", "1", "--depth", "2", "--m", "3",
+                     "--k-max", "8", "--out", "{d}/eigen.json"],
+    "mlp-study": ["--activation", "relu", "--depth", "1", "--widths", "8,16",
+                  "--samples", "100", "--seed", "3", "--rho", "0.5",
+                  "--out", "{d}/study.csv"],
+    "gp-fit": ["--theta", "1", "--a", "1", "--c", "1", "--depth", "1",
+               "--train", "{d}/train.csv", "--noise", "0.1", "--model-out", "{d}/fit.json"],
+    "gp-predict": ["--model", "{d}/model.json", "--query", "{d}/points.csv",
+                   "--out", "{d}/pred.csv"],
+    "reproduce-fig1": ["--case", "linear", "--k-max", "8", "--out", "{d}/fig1.csv"],
+}
+
+#: Flags whose values are names or paths, which the numeric sweep leaves alone.
+CLI_WORDS = {"--kind", "--name", "--activation", "--case", "--out", "--points", "--train",
+             "--model-out", "--model", "--query"}
+
+CLI_HOSTILE = ["-1", "0", "nan", "inf", "1e400", "1000000000000000000"]
+
+
+def _cli_cases():
+    for command, argv in CLI_VALID.items():
+        yield command, "valid", argv
+        for i in range(0, len(argv), 2):
+            if argv[i] not in CLI_WORDS:
+                for bad in CLI_HOSTILE:
+                    yield command, f"{argv[i]} {bad}", argv[:i + 1] + [bad] + argv[i + 2:]
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
+def test_hostile_cli_values_exit_0_2_or_3(tmp_path, capsys):
+    """Each number or comma-list flag of a valid argv, replaced in turn by each
+    hostile value, exits 0, 2 or 3 (argparse's SystemExit counts as its code),
+    and an exit 0 writes no nan or inf (JSON's NaN and Infinity included)."""
+    (tmp_path / "points.csv").write_text("1,0\n0,1\n0.6,0.8\n")
+    (tmp_path / "train.csv").write_text("1,0,1\n0,1,-1\n0.6,0.8,0.5\n")
+    inputs = set(tmp_path.iterdir()) | {tmp_path / "model.json"}
+    here = lambda argv: [arg.replace("{d}", str(tmp_path)) for arg in argv]  # noqa: E731
+    assert app(here(["gp-fit", *CLI_VALID["gp-fit"][:-1], "{d}/model.json"])) == 0
+    failures = []
+    for command, case, argv in _cli_cases():
+        argv = here([command, *argv])
+        for out in set(tmp_path.iterdir()) - inputs:
+            out.unlink()
+        try:
+            with _time_limit(HANG_S):
+                code = app(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except _Hang:
+            failures.append(f"{command} {case}: no exit within {HANG_S} s")
+            continue
+        except Exception as exc:  # a bare exception is what the sweep looks for
+            failures.append(f"{command} {case}: {type(exc).__name__}: {exc!s:.80}")
+            continue
+        written = capsys.readouterr().out + "".join(
+            out.read_text() for out in set(tmp_path.iterdir()) - inputs)
+        if code not in (0, 2, 3):
+            failures.append(f"{command} {case}: exit {code}")
+        elif code == 0 and ("nan" in written.lower() or "inf" in written.lower()):
+            failures.append(f"{command} {case}: exit 0 wrote a non-finite value")
+        elif code != 0 and case == "valid":
+            failures.append(f"{command}: the valid argv exits {code}")
+    assert not failures, "\n".join(failures)
