@@ -345,15 +345,24 @@ _GRID_POINTS = 10 ** 6
 
 
 def _grid(args) -> np.ndarray:
+    """x_min + k * step for k = 0, 1, ... up to x_max.  x_max itself is the last
+    point when the range is a whole number of steps to 1e-9 relative."""
     lo, hi, step = args.x_min, args.x_max, args.step
     if not (hi > lo and step > 0 and math.isfinite((hi - lo) / step)):
         raise ConfigError(f"bad grid: need --x-min < --x-max and --step > 0 with a finite "
                           f"(x_max - x_min) / step, got {lo}, {hi} and {step}")
-    count = int(round((hi - lo) / step))
+    steps = (hi - lo) / step
+    whole = abs(steps - round(steps)) <= 1e-9 * steps
+    count = int(round(steps)) if whole else math.floor(steps)
+    if count < 1:
+        raise ConfigError(f"bad grid: --step {step} is larger than x_max - x_min = {hi - lo}")
     if count + 1 > _GRID_POINTS:
         raise ConfigError(f"bad grid: --step {step} over [{lo}, {hi}] gives {count + 1} "
                           f"points, more than {_GRID_POINTS}")
-    return np.linspace(lo, hi, count + 1)
+    xs = lo + step * np.arange(count + 1)
+    if whole:
+        xs[-1] = hi
+    return xs
 
 
 def _cmd_activation_curve(args) -> None:

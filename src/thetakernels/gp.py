@@ -17,6 +17,15 @@ restores it; after a successful one that lower triangle is zeroed, leaving
 the Fortran-ordered lower factor.  ``predict`` takes the means from the
 cross-Gram, then overwrites it with the triangular solve for the variances.
 Neither allocates a second matrix of its matrix's size.
+
+The means are a row reduction of the cross-Gram against alpha
+(``np.einsum``), not a BLAS matrix-vector product.  With a threaded OpenBLAS,
+a large gemv slows the first level-3 call after it, here the triangular
+solve or the next ``fit``'s Cholesky, by about half: on 2 vCPUs with
+OpenBLAS 0.3.31 and 2 threads, a 2000 x 2000 solve took a median 93 ms
+alone and 149 ms right after one.  The cause inside OpenBLAS is not traced.  The rest of both steps is LAPACK level-3 calls,
+one-vector solves, small-inner-dimension products and non-BLAS reductions,
+none of which showed that slowdown.
 """
 
 from __future__ import annotations
@@ -126,7 +135,9 @@ def predict(model: GpModel, Xstar: Sequence[Sequence[float]]) -> PredictResult:
         return PredictResult(np.empty(0), np.empty(0), 0)
     kstar = cross_gram(model.spec, stars, model.inputs)
     _check_finite(kstar, "cross-Gram")
-    means = kstar @ model.alpha
+    # A row reduction, not a BLAS gemv, which would slow the solve below
+    # (see the module docstring).
+    means = np.einsum("ij,j->i", kstar, model.alpha)
     # kstar.T is Fortran-ordered and this call's own: solve in place.
     v = solve_triangular(model.chol_lower, kstar.T, lower=True, overwrite_b=True,
                          check_finite=False)

@@ -156,6 +156,29 @@ class TestActivationCommands:
         assert table[0, 1] == 0.0                                   # phi(-1)
         assert table[4, 1] == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
+    @pytest.mark.parametrize("bounds, step, xs", [
+        (("0", "1"), "0.3", [0.0, 0.3, 0.6, 0.9]),
+        (("0", "1"), "1", [0.0, 1.0]),
+        (("0", "1"), "0.25", [0.0, 0.25, 0.5, 0.75, 1.0]),
+        (("-1", "2"), "0.7", [-1.0, -0.3, 0.4, 1.1, 1.8]),
+    ], ids=["partial-step", "one-step", "whole-steps", "offset-start"])
+    def test_curve_grid_honours_step(self, tmp_path, bounds, step, xs):
+        # x_min + k * step up to x_max; x_max only when the steps fit it.
+        out = tmp_path / "curve.csv"
+        assert app(["activation-curve", "--name", "relu", "--x-min", bounds[0],
+                    "--x-max", bounds[1], "--step", step, "--out", str(out)]) == 0
+        grid = _load_csv(out)[:, 0]
+        assert grid == pytest.approx(xs, abs=1e-15)
+        assert grid[-1] <= float(bounds[1])
+
+    def test_curve_default_grid(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        assert app(["activation-curve", "--name", "relu", "--out", str(out)]) == 0
+        grid = _load_csv(out)[:, 0]
+        assert grid.shape == (601,)
+        assert grid[0] == -3.0 and grid[-1] == 3.0
+        assert np.max(np.abs(np.diff(grid) - 0.01)) < 1e-12
+
     def test_round_trip_through_files(self, tmp_path):
         first = tmp_path / "p.csv"
         second = tmp_path / "p2.csv"
@@ -547,12 +570,17 @@ class TestInputErrors:
               "--step", "1"], "--step"),
         ({}, ["kernel-eval", "--kind", "cmixed", "--theta", "0.5", "--c", "1e308,1e308",
               "--rho", "0.5"], "sum of c"),
+        ({}, ["activation-curve", "--name", "relu", "--x-min", "0", "--x-max", "1",
+              "--step", "inf"], "--step"),
+        ({}, ["activation-curve", "--name", "relu", "--x-min", "0", "--x-max", "1",
+              "--step", "1.5"], "--step"),
     ], ids=["points-missing", "points-empty", "points-header-only", "points-non-numeric",
             "config-missing", "config-not-json", "config-list", "factor-not-object",
             "model-kind", "curve-no-name", "grid-reversed", "eval-no-rho",
             "pure-limit-c-sum", "study-no-widths", "study-depth-too-large",
             "study-activation-reason", "curve-name-flag", "out-unwritable", "grid-overflow",
-            "grid-too-many-points", "cmixed-c-sum-overflow"])
+            "grid-too-many-points", "cmixed-c-sum-overflow", "grid-step-inf",
+            "grid-step-past-range"])
     def test_exit_2_naming_the_source(self, tmp_path, capsys, files, argv, needle):
         for name, text in files.items():
             (tmp_path / name).write_text(text)
