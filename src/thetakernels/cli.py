@@ -234,8 +234,8 @@ def _kernel_from_json(record, where: str) -> KernelSpec:
                              for i, entry in enumerate(factors)))
 
 
-def _build_kernel(args) -> KernelSpec:
-    """Flags and config as a kernel record, built by _kernel_from_json."""
+def _kernel_record(args) -> dict:
+    """Flags and config as a kernel record, as _kernel_from_json reads it."""
     if args.kind == "pure":
         record = {"depth": args.depth, "pgf": _pgf_record(args)}
     elif args.kind == "cmixed":
@@ -245,7 +245,11 @@ def _build_kernel(args) -> KernelSpec:
     else:
         record = {"factors": None if args.factors is None
                   else _read_json(args.factors, "factors file")}
-    return _kernel_from_json({"kind": args.kind, **record}, "kernel from flags and config")
+    return {"kind": args.kind, **record}
+
+
+def _build_kernel(args) -> KernelSpec:
+    return _kernel_from_json(_kernel_record(args), "kernel from flags and config")
 
 
 def _build_activation(args) -> Activation:
@@ -435,28 +439,17 @@ def _cmd_mlp_study(args) -> None:
 _MODEL_KEYS = ("kernel", "inputs", "targets", "noise")
 
 
-def _kernel_to_json(spec: KernelSpec) -> dict:
-    if isinstance(spec, PureKernel):
-        return {"kind": "pure", "depth": spec.depth, "pgf": _pgf_to_json(spec.f)}
-    if isinstance(spec, CMixedKernel):
-        return {"kind": "cmixed", "theta": spec.theta,
-                "c_sequence": list(spec.c_sequence)}
-    if isinstance(spec, MixedKernel) and all(isinstance(f, ThetaPgf)
-                                             for f in spec.factors):
-        return {"kind": "mixed", "factors": [_pgf_to_json(f) for f in spec.factors]}
-    raise ConfigError("only theta-form kernel specs can be serialized")
-
-
 def _cmd_gp_fit(args) -> None:
-    spec = _build_kernel(args)
+    """Fit, then write what the fit was given, so gp-predict's refit is this fit."""
+    record = _kernel_record(args)
+    spec = _kernel_from_json(record, "kernel from flags and config")
     table = _read_csv(args.train)
     if table.shape[1] < 2:
         raise ConfigError("training CSV needs coordinate columns plus a target column")
-    model = gp_fit(spec, table[:, :-1], table[:, -1], args.noise)
-    _write_json(args.model_out, {"kernel": _kernel_to_json(spec),
-                                 "inputs": model.inputs.tolist(),
-                                 "targets": model.targets.tolist(),
-                                 "noise": model.noise,
+    coords, targets = table[:, :-1], table[:, -1]
+    model = gp_fit(spec, coords, targets, args.noise)
+    _write_json(args.model_out, {"kernel": record, "inputs": coords.tolist(),
+                                 "targets": targets.tolist(), "noise": args.noise,
                                  "jitter": model.jitter,
                                  "jitter_level": model.jitter_level})
     print(f"fit {model.targets.size} points, jitter_level={model.jitter_level}")

@@ -131,7 +131,7 @@ def predict(model: GpModel, Xstar: Sequence[Sequence[float]]) -> PredictResult:
     from scipy.linalg import solve_triangular   # deferred: import cost
     _instance(model, GpModel, "a GpModel")
     stars = _reals(Xstar, "query points")
-    if stars.size == 0:
+    if stars.shape == (0, model.inputs.shape[1]):
         return PredictResult(np.empty(0), np.empty(0), 0)
     kstar = cross_gram(model.spec, stars, model.inputs)
     _check_finite(kstar, "cross-Gram")

@@ -107,7 +107,9 @@ def gauss_hermite_rule(num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalInstability(
             f"Gauss-Hermite rule with {num_nodes} nodes has non-finite nodes "
             "or weights that do not sum to 1; use fewer nodes")
-    return points * math.sqrt(2.0), weights
+    points = points * math.sqrt(2.0)
+    points.flags.writeable = weights.flags.writeable = False    # cached: shared by callers
+    return points, weights
 
 
 @lru_cache(maxsize=1)
@@ -123,6 +125,7 @@ def half_gaussian_rule() -> tuple[np.ndarray, np.ndarray]:
     t = 0.5 * _HALF_RANGE_CUTOFF * (points + 1.0)
     w = (0.5 * _HALF_RANGE_CUTOFF * weights * np.exp(-0.5 * t * t)
          / math.sqrt(2.0 * math.pi))
+    t.flags.writeable = w.flags.writeable = False    # cached: shared by callers
     return t, w
 
 

@@ -149,14 +149,14 @@ def _unit(v: np.ndarray) -> np.ndarray:
     A vector whose norm overflows to inf or underflows to 0 is first scaled by
     the power of two that brings its largest entry into [0.5, 1); every other
     vector is divided by its plain norm, so its bits do not depend on the
-    rescue.  Raises ZeroVector for a vector of zeros.
+    rescue.  Raises ZeroVector for a vector of zeros or of length zero.
     """
     axis = -1 if v.ndim > 1 else None
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(v, axis=axis, keepdims=True)
     bad = (norms == 0.0) | np.isinf(norms)
     if bad.any():
-        _, exponent = np.frexp(np.max(np.abs(v), axis=-1, keepdims=True))
+        _, exponent = np.frexp(np.max(np.abs(v), axis=-1, keepdims=True, initial=0.0))
         v = np.where(bad, np.ldexp(v, -exponent), v)
         norms = np.linalg.norm(v, axis=axis, keepdims=True)
         if np.any(norms == 0.0):

@@ -246,6 +246,12 @@ class TestKernelCommands:
                     "--c", "1", "--depth", "1", "--x", "1,nan", "--z", "1,0"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_zero_length_vectors_rejected(self, capsys):
+        assert app(["kernel-eval", "--theta", "1", "--a", "1", "--c", "1", "--depth", "1",
+                    "--x", ",", "--z", ","]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_rho_and_vectors_conflict(self, capsys):
         assert app(["kernel-eval", "--kind", "pure", "--theta", "1", "--a", "1",
                     "--c", "1", "--depth", "1", "--rho", "0", "--x", "1,0",
@@ -519,6 +525,20 @@ class TestGpCommands:
         table = _load_csv(out)
         assert np.array_equal(table[:, 0], expected.means)
         assert np.array_equal(table[:, 1], expected.variances)
+
+    def test_predict_reports_clamped_variances(self, tmp_path, monkeypatch, capsys):
+        train, _, _ = self._write_training(tmp_path)
+        model_path = tmp_path / "model.json"
+        assert app(["gp-fit", *_PURE, "--train", str(train),
+                    "--model-out", str(model_path)]) == 0
+        query = tmp_path / "query.csv"
+        query.write_text("1.0,0.0,0.0\n")
+        monkeypatch.setattr("thetakernels.cli.gp_predict",
+                            lambda model, q: gp_predict(model, q)._replace(num_clamped=2))
+        capsys.readouterr()
+        assert app(["gp-predict", "--model", str(model_path), "--query", str(query),
+                    "--out", str(tmp_path / "pred.csv")]) == 0
+        assert capsys.readouterr().err == "clamped 2 negative variances\n"
 
     def test_train_needs_target_column(self, tmp_path):
         train = tmp_path / "train.csv"
@@ -816,6 +836,40 @@ class TestGpModelRoundTrip:
                     "--model-out", "model.json"]) == 0
         record = json.loads((tmp_path / "model.json").read_text())
         assert _kernel_from_json(record["kernel"], "model") == spec
+        assert app(["gp-predict", "--model", "model.json", "--query", "query.csv",
+                    "--out", "post.csv"]) == 0
+        expected = gp_predict(gp_fit(spec, coords, targets, 0.01), queries)
+        table = _load_csv(tmp_path / "post.csv")
+        assert np.array_equal(table[:, 0], expected.means)
+        assert np.array_equal(table[:, 1], expected.variances)
+
+    # 300 points, where a refit from already-normalized rows changed the bits.
+    @pytest.mark.parametrize("flags, spec", [
+        (["--kind", "pure", "--theta", "0.5", "--a", "1.2", "--c", "0.4", "--depth", "2"],
+         PureKernel(make_theta_pgf(theta=0.5, a=1.2, c=0.4), 2)),
+        (["--kind", "cmixed", "--theta", "0.5", "--c", "0.3,0.2,0.6"],
+         CMixedKernel(0.5, (0.3, 0.2, 0.6))),
+        (["--kind", "mixed", "--factors", "factors.json"],
+         MixedKernel((make_theta_pgf(theta=1.0, a=1.2, c=0.4),
+                      make_theta_pgf(theta=-1.0, a=0.5, q=0.2),
+                      make_theta_pgf(theta=0.5, a=0.5, q=0.3, r=2.0)))),
+    ], ids=["pure", "cmixed", "mixed"])
+    def test_predict_replays_the_library_fit(self, tmp_path, monkeypatch, flags, spec):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "factors.json").write_text(json.dumps(
+            [{"theta": 1.0, "a": 1.2, "c": 0.4}, {"theta": -1.0, "a": 0.5, "q": 0.2},
+             {"theta": 0.5, "a": 0.5, "q": 0.3, "r": 2.0}]))
+        rng = np.random.default_rng(12)
+        coords, queries = rng.standard_normal((300, 3)), rng.standard_normal((20, 3))
+        targets = np.sin(coords[:, 0])
+        np.savetxt("train.csv", np.column_stack([coords, targets]), delimiter=",",
+                   fmt="%.17g")
+        np.savetxt("query.csv", queries, delimiter=",", fmt="%.17g")
+        assert app(["gp-fit", *flags, "--train", "train.csv", "--noise", "0.01",
+                    "--model-out", "model.json"]) == 0
+        record = json.loads((tmp_path / "model.json").read_text())
+        assert record["inputs"] == coords.tolist()
+        assert record["targets"] == targets.tolist()
         assert app(["gp-predict", "--model", "model.json", "--query", "query.csv",
                     "--out", "post.csv"]) == 0
         expected = gp_predict(gp_fit(spec, coords, targets, 0.01), queries)

@@ -12,11 +12,12 @@ from thetakernels.activations import (HermiteSeriesActivation, ReferenceActivati
                                       activation_to_pgf, bivariate_expectation,
                                       reference_activation)
 from thetakernels.errors import (DimensionUnsupported, DomainError, InvalidCoefficients,
-                                 NumericalInstability, RegimeViolation, ThetaKernelError)
+                                 NumericalInstability, RegimeViolation, ThetaKernelError,
+                                 ZeroVector)
 from thetakernels.hermite import hermite_design, hermite_series
 from thetakernels.kernels import (CMixedKernel, MixedKernel, PureKernel,
                                   cmixed_pure_representation, correlation, cross_gram,
-                                  eigensystem, kernel_at_rho, kernel_limit, multiplicity,
+                                  eigensystem, gram, kernel_at_rho, kernel_limit, multiplicity,
                                   surface_area)
 from thetakernels.mlp import (MlpConfig, convergence_study, empirical_kernel,
                               reference_kernel_value, sample_mlp_output)
@@ -134,6 +135,11 @@ def _with_nan_entry(name, call):
      DomainError),
     (lambda: eigensystem(MixedKernel((SeriesPgf((0.5,)),)), 343, 1000),
      NumericalInstability),
+    (lambda: gram(K, [[]]), ZeroVector),
+    (lambda: gram(K, np.empty((3, 0))), ZeroVector),
+    (lambda: cross_gram(K, np.empty((3, 0)), np.empty((2, 0))), ZeroVector),
+    (lambda: correlation([], []), ZeroVector),
+    (lambda: gp.fit(K, np.empty((3, 0)), [1.0, 2.0, 3.0]), ZeroVector),
 ], ids=["prelu-slope", "nan-slope", "bool-slope", "slope-square-overflows",
         "empty-series", "negative-hermite-coefficient", "nan-hermite-coefficient",
         "cmixed-bool-theta", "cmixed-bool-c", "pure-limit-c-sum", "pure-series-factor",
@@ -156,7 +162,9 @@ def _with_nan_entry(name, call):
         "hermite-design-huge-order", "empirical-huge-samples", "empirical-samples-ceiling",
         "eigensystem-huge-order", "multiplicity-dimension-ceiling",
         "multiplicity-degree-ceiling", "empirical-huge-width", "width-ceiling",
-        "study-width-ceiling", "eigensystem-multiplicity-overflow"])
+        "study-width-ceiling", "eigensystem-multiplicity-overflow", "gram-empty-row",
+        "gram-zero-length-rows", "cross-gram-zero-length-rows", "correlation-empty",
+        "gp-zero-length-inputs"])
 def test_typed_error(call, error):
     with pytest.raises(error) as info:
         call()

@@ -7,7 +7,8 @@ import pytest
 import scipy.linalg
 
 from thetakernels import gp
-from thetakernels.errors import DimensionMismatch, DomainError, FactorizationFailed
+from thetakernels.errors import (DimensionMismatch, DomainError, FactorizationFailed,
+                                 ZeroVector)
 from thetakernels.gp import JITTER_LADDER, fit, predict
 from thetakernels.kernels import (CMixedKernel, MixedKernel, PureKernel, cross_gram, gram,
                                   kernel_at_rho)
@@ -158,6 +159,16 @@ class TestPredict:
         assert out.means.shape == (0,)
         assert out.variances.shape == (0,)
         assert out.num_clamped == 0
+
+    def test_empty_rows_are_not_an_empty_query(self):
+        X, y = _training_set()
+        with pytest.raises(ZeroVector):
+            predict(fit(_spec(), X, y), np.zeros((5, 0)))
+
+    def test_empty_query_of_another_dimension(self):
+        X, y = _training_set()
+        with pytest.raises(DimensionMismatch):
+            predict(fit(_spec(), X, y), np.zeros((0, 3)))
 
     def test_clamp_counter(self):
         X, y = _training_set()

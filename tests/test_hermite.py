@@ -121,6 +121,20 @@ class TestGaussHermiteRule:
         right = gauss_hermite_rule(64)
         assert left[0] is right[0]
 
+    def test_cached_rule_is_read_only(self):
+        points, weights = gauss_hermite_rule(3)
+        before = points.copy(), weights.copy()
+        for array in (points, weights):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array *= 2.0
+        again = gauss_hermite_rule(3)
+        assert again[0] is points
+        assert all(np.array_equal(a, b) for a, b in zip(again, before))
+        coefficients = [0.2, 0.3, 0.1]
+        assert bivariate_expectation(activation_from_coefficients(coefficients),
+                                     0.5) == pytest.approx(0.375, abs=1e-15)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             gauss_hermite_rule(0)
@@ -159,6 +173,17 @@ class TestHalfGaussianRule:
         points, weights = half_gaussian_rule()
         assert float(weights @ points) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi),
                                                         abs=1e-13)
+
+    def test_cached_rule_is_read_only(self):
+        points, weights = half_gaussian_rule()
+        before = points.copy(), weights.copy()
+        for array in (points, weights):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        again = half_gaussian_rule()
+        assert again[0] is points
+        assert all(np.array_equal(a, b) for a, b in zip(again, before))
 
     def test_nodes_inside_range(self):
         points, _ = half_gaussian_rule()
